@@ -4,6 +4,8 @@ stakeholder-value scoring, clustering, and retirement/reuse candidates.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -85,19 +87,10 @@ class ElicitationPlan:
     prompts: list[Prompt]
 
 
-def _load_prompt_catalog() -> dict:
+@functools.cache
+def prompt_catalog() -> dict:
     text = resources.files("w6hea.data").joinpath("prompts.yaml").read_text("utf-8")
     return yaml.safe_load(text)
-
-
-_PROMPTS = None
-
-
-def prompt_catalog() -> dict:
-    global _PROMPTS
-    if _PROMPTS is None:
-        _PROMPTS = _load_prompt_catalog()
-    return _PROMPTS
 
 
 def elicitation_plan(repo: Repository, view: Optional[View] = None) -> ElicitationPlan:
@@ -186,9 +179,9 @@ def _view_weights(weights: Optional[dict]) -> dict[View, float]:
             view = key if isinstance(key, View) else View(str(key))
         except ValueError:
             raise UnknownView(f"unknown view {key!r} in weights map") from None
-        if float(value) < 0:
-            raise ValueError(f"view weight for {view.value!r} must be >= 0")
         resolved[view] = float(value)
+        if not 0 <= resolved[view] < math.inf:
+            raise ValueError(f"view weight for {view.value!r} must be >= 0")
     return resolved
 
 

@@ -116,7 +116,7 @@ def main(ctx, config_path):
 def validate(ctx, paths):
     """Run the structural rule catalog; exit 1 on error findings."""
     repo = _load_repo(paths)
-    findings = validation.validate(repo) + validation.check_precedence(repo)
+    findings = validation.validate(repo)
     has_errors = False
     for f in findings:
         color = {"error": "red", "warning": "yellow", "info": "cyan"}.get(f.severity)
@@ -274,7 +274,7 @@ def export(what, paths, out_dir):
         graph = analysis.build_value_graph(repo)
         _emit(report.export_graph_dot(graph), out_dir, "graph.dot")
     else:
-        findings = validation.validate(repo) + validation.check_precedence(repo)
+        findings = validation.validate(repo)
         _emit(report.export_findings_json(findings), out_dir, "findings.json")
         _emit(report.export_scores_json(analysis.value_scores(repo)), out_dir, "scores.json")
 

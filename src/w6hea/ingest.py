@@ -21,6 +21,7 @@ from .model import (
     View,
     ViewCell,
     slugify,
+    unknown_attributes,
 )
 from .repofmt import Diagnostic, Location, SourceDocument
 
@@ -38,7 +39,6 @@ class IngestProposal:
     links: list[Link] = field(default_factory=list)
     concerns: list[Concern] = field(default_factory=list)
     source: str = ""
-    extractor: str = ""
 
 
 def _load(doc: SourceDocument):
@@ -58,7 +58,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     ``design_tech: OpenAPI``.  A concern holding the record table is proposed
     at the designer/how cell.
     """
-    proposal = IngestProposal(source=doc.path, extractor="openapi")
+    proposal = IngestProposal(source=doc.path)
     diags: list[Diagnostic] = []
 
     try:
@@ -151,9 +151,7 @@ def ingest_k8s(
     microservice in ``repo``, a deployed_on link is proposed.  A concern
     holding the pod/network table is proposed at the builder/where cell.
     """
-    proposal = IngestProposal(
-        source=";".join(d.path for d in docs), extractor="k8s"
-    )
+    proposal = IngestProposal(source=";".join(d.path for d in docs))
     diags: list[Diagnostic] = []
     targets: dict[str, Entity] = {}
     rows: list[dict] = []
@@ -279,7 +277,10 @@ def merge_proposal(
 
     ``add_only`` keeps existing entities/concerns untouched on id collision
     (warning); ``overwrite_attributes`` replaces the attribute map / records
-    while preserving links.  Dangling proposal links are reported and skipped.
+    while preserving links.  A replacement passes the checks an added item
+    would; one that fails is reported and the existing item kept.  Dangling
+    proposal links are reported and skipped; unknown attributes of merged
+    entities are reported as warnings.
     """
     if strategy not in MERGE_STRATEGIES:
         raise ValueError(f"unknown merge strategy {strategy!r}")
@@ -287,37 +288,41 @@ def merge_proposal(
     diags: list[Diagnostic] = []
     origin = Location(proposal.source or "<proposal>", 1, 1)
 
-    for entity in proposal.entities:
-        existing = out.entities.get(entity.id)
-        if existing is None:
-            try:
-                out.add_entity(copy.deepcopy(entity))
-            except ModelError as exc:
-                diags.append(Diagnostic("error", str(exc), origin))
-        elif strategy == "overwrite_attributes":
-            existing.attributes = copy.deepcopy(entity.attributes)
-        else:
-            diags.append(
-                Diagnostic(
-                    "warning", f"entity {entity.id!r} already present; kept as-is", origin
-                )
-            )
+    def report(severity: str, message: str) -> None:
+        diags.append(Diagnostic(severity, message, origin))
 
-    for concern in proposal.concerns:
-        existing = out.concerns.get(concern.id)
-        if existing is None:
-            try:
-                out.add_concern(copy.deepcopy(concern))
-            except ModelError as exc:
-                diags.append(Diagnostic("error", str(exc), origin))
-        elif strategy == "overwrite_attributes":
-            out.concerns[concern.id] = copy.deepcopy(concern)
-        else:
-            diags.append(
-                Diagnostic(
-                    "warning", f"concern {concern.id!r} already present; kept as-is", origin
-                )
-            )
+    overwrite = strategy == "overwrite_attributes"
+    for entity in map(copy.deepcopy, proposal.entities):
+        existing = out.entities.get(entity.id)
+        if existing is not None and not overwrite:
+            report("warning", f"entity {entity.id!r} already present; kept as-is")
+            continue
+        try:
+            if existing is None:
+                out.add_entity(entity)
+            else:
+                entity = Entity(existing.kind, existing.name, entity.attributes)
+                out.check_entity(entity)
+                existing.attributes = entity.attributes
+        except ModelError as exc:
+            report("error", str(exc))
+            continue
+        for message in unknown_attributes(entity):
+            report("warning", message)
+
+    for concern in map(copy.deepcopy, proposal.concerns):
+        existing = concern.id in out.concerns
+        if existing and not overwrite:
+            report("warning", f"concern {concern.id!r} already present; kept as-is")
+            continue
+        try:
+            if existing:
+                out.check_concern(concern)
+                out.concerns[concern.id] = concern
+            else:
+                out.add_concern(concern)
+        except ModelError as exc:
+            report("error", str(exc))
 
     for link in proposal.links:
         if link.id in out.links:
@@ -325,6 +330,6 @@ def merge_proposal(
         try:
             out.add_link(copy.deepcopy(link))
         except ModelError as exc:
-            diags.append(Diagnostic("error", str(exc), origin))
+            report("error", str(exc))
 
     return out, diags

@@ -8,8 +8,8 @@ referential integrity enforced on every mutation.
 from __future__ import annotations
 
 import heapq
+import math
 import re
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -49,10 +49,6 @@ class InvalidCell(ModelError):
 
 class InvalidAttribute(ModelError):
     """A known attribute key carries a value outside its vocabulary."""
-
-
-class UnknownAttributeWarning(UserWarning):
-    """An attribute key outside the kind's vocabulary; accepted but flagged."""
 
 
 class Interrogative(str, Enum):
@@ -305,7 +301,14 @@ MICROSERVICE_CATEGORIES = ("presentation", "system", "integrity")
 API_EXPOSURES = ("internal", "external")
 DATA_PATTERNS = ("event_sourcing", "side_car")
 
-# Known attribute keys per kind; anything else is accepted with a warning.
+# (kind, attribute key) -> the values an enumerated attribute may take.
+ATTRIBUTE_ENUMS: dict[tuple[str, str], tuple[str, ...]] = {
+    ("microservice", "category"): MICROSERVICE_CATEGORIES,
+    ("api", "exposure"): API_EXPOSURES,
+    ("data_element", "pattern"): DATA_PATTERNS,
+}
+
+# Known attribute keys per kind; anything else is accepted but flagged.
 ATTRIBUTE_VOCABULARY: dict[str, tuple[str, ...]] = {
     "microservice": ("category", "tech_stack"),
     "api": ("methods", "exposure", "gateway_rules", "endpoint_mappings"),
@@ -416,135 +419,111 @@ class Repository:
     def concerns_at(self, cell: ViewCell) -> list[Concern]:
         return [c for c in self.concerns.values() if c.cell == cell]
 
-    def resolve(self, ref: str) -> Optional[str]:
-        """Return "entity", "concern", or None for an arbitrary id."""
-        if ref in self.entities:
-            return "entity"
-        if ref in self.concerns:
-            return "concern"
-        return None
-
     # -- mutation --------------------------------------------------------
 
     def add_entity(self, e: Entity) -> str:
+        eid = e.id
+        if eid in self.entities:
+            raise DuplicateEntity(f"entity {eid!r} already exists")
+        self.check_entity(e)
+        self.entities[eid] = e
+        return eid
+
+    def check_entity(self, e: Entity) -> None:
+        """Raise the ModelError ``add_entity`` would, short of a duplicate id."""
         if e.kind not in ENTITY_KINDS:
             raise KindMismatch(f"unknown entity kind {e.kind!r}")
         if not e.name or not e.name.strip():
             raise EmptyName(f"entity of kind {e.kind!r} has an empty name")
-        eid = e.id
-        if eid in self.entities:
-            raise DuplicateEntity(f"entity {eid!r} already exists")
-        self._check_attributes(e)
-        self.entities[eid] = e
-        return eid
-
-    def _check_attributes(self, e: Entity) -> None:
-        vocab = ATTRIBUTE_VOCABULARY.get(e.kind, ())
         for key, value in e.attributes.items():
-            if key not in vocab:
-                warnings.warn(
-                    f"entity {e.id!r}: attribute {key!r} is not in the "
-                    f"{e.kind!r} vocabulary",
-                    UnknownAttributeWarning,
-                    stacklevel=3,
-                )
-        category = e.attributes.get("category")
-        if e.kind == "microservice" and category is not None:
-            if category not in MICROSERVICE_CATEGORIES:
+            allowed = ATTRIBUTE_ENUMS.get((e.kind, key))
+            if allowed is not None and value is not None and value not in allowed:
                 raise InvalidAttribute(
-                    f"entity {e.id!r}: category must be one of "
-                    f"{MICROSERVICE_CATEGORIES}, got {category!r}"
-                )
-        exposure = e.attributes.get("exposure")
-        if e.kind == "api" and exposure is not None:
-            if exposure not in API_EXPOSURES:
-                raise InvalidAttribute(
-                    f"entity {e.id!r}: exposure must be one of "
-                    f"{API_EXPOSURES}, got {exposure!r}"
-                )
-        pattern = e.attributes.get("pattern")
-        if e.kind == "data_element" and pattern is not None:
-            if pattern not in DATA_PATTERNS:
-                raise InvalidAttribute(
-                    f"entity {e.id!r}: pattern must be one of "
-                    f"{DATA_PATTERNS}, got {pattern!r}"
+                    f"entity {e.id!r}: {key} must be one of {allowed}, got {value!r}"
                 )
 
     def add_link(self, l: Link) -> str:
-        if l.kind not in LINK_SIGNATURES:
-            raise KindMismatch(f"unknown link kind {l.kind!r}")
-        if l.weight < 0:
-            raise NegativeWeight(f"link {l.id!r} has negative weight {l.weight}")
-        source_kinds, target_kinds = LINK_SIGNATURES[l.kind]
-
-        src = self.entities.get(l.source)
-        if src is None:
-            raise DanglingReference(f"link source {l.source!r} does not resolve")
-        if src.kind not in source_kinds:
-            raise KindMismatch(
-                f"{l.kind} source must be one of {source_kinds}, "
-                f"got {src.kind!r} ({l.source})"
-            )
-
-        if "concern" in target_kinds and l.target in self.concerns:
-            pass
-        else:
-            tgt = self.entities.get(l.target)
-            if tgt is None:
-                raise DanglingReference(f"link target {l.target!r} does not resolve")
-            entity_targets = tuple(k for k in target_kinds if k != "concern")
-            if tgt.kind not in entity_targets:
-                raise KindMismatch(
-                    f"{l.kind} target must be one of {target_kinds}, "
-                    f"got {tgt.kind!r} ({l.target})"
-                )
-
+        for error, message in self._link_faults(l):
+            raise error(message)
         lid = l.id
         if lid in self.links:
             raise DuplicateLink(f"link {lid!r} already exists")
         self.links[lid] = l
         return lid
 
+    def _link_faults(self, l: Link):
+        """Yield ``(ModelError subclass, message)`` for each fault of one link."""
+        if l.kind not in LINK_SIGNATURES:
+            yield KindMismatch, f"unknown link kind {l.kind!r}"
+            return
+        if l.weight < 0:
+            yield NegativeWeight, f"link {l.id!r} has negative weight {l.weight}"
+        elif not math.isfinite(l.weight):
+            yield NegativeWeight, f"link {l.id!r} has non-finite weight {l.weight}"
+        source_kinds, target_kinds = LINK_SIGNATURES[l.kind]
+        src = self.entities.get(l.source)
+        if src is None:
+            yield DanglingReference, f"link source {l.source!r} does not resolve"
+        elif src.kind not in source_kinds:
+            yield KindMismatch, (
+                f"{l.kind} source must be one of {source_kinds}, "
+                f"got {src.kind!r} ({l.source})"
+            )
+        if "concern" in target_kinds and l.target in self.concerns:
+            return
+        tgt = self.entities.get(l.target)
+        if tgt is None:
+            yield DanglingReference, f"link target {l.target!r} does not resolve"
+        elif tgt.kind not in target_kinds:
+            yield KindMismatch, (
+                f"{l.kind} target must be one of {target_kinds}, "
+                f"got {tgt.kind!r} ({l.target})"
+            )
+
     def add_concern(self, c: Concern) -> str:
+        if c.id in self.concerns:
+            raise DuplicateEntity(f"concern {c.id!r} already exists")
+        self.check_concern(c)
+        self.concerns[c.id] = c
+        return c.id
+
+    def check_concern(self, c: Concern) -> None:
+        """Raise the ModelError ``add_concern`` would, short of a duplicate id."""
         if not isinstance(c.cell, ViewCell):
             raise InvalidCell(f"concern {c.id!r} has no valid cell")
         if not c.id or not c.id.strip():
             raise EmptyName("concern id must be non-empty")
-        if c.id in self.concerns:
-            raise DuplicateEntity(f"concern {c.id!r} already exists")
         for ref in c.entity_refs:
             if ref not in self.entities:
                 raise DanglingReference(
                     f"concern {c.id!r} references unknown entity {ref!r}"
                 )
-        self.concerns[c.id] = c
-        return c.id
 
     # -- integrity -------------------------------------------------------
 
-    def integrity_violations(self) -> list[str]:
-        """Full-scan referential integrity check; empty list means clean."""
-        problems = []
-        for l in self.links.values():
-            source_kinds, target_kinds = LINK_SIGNATURES.get(l.kind, ((), ()))
-            src = self.entities.get(l.source)
-            if src is None:
-                problems.append(f"link {l.id}: dangling source {l.source!r}")
-            elif src.kind not in source_kinds:
-                problems.append(
-                    f"link {l.id}: source kind {src.kind!r} not allowed for {l.kind}"
-                )
-            if "concern" in target_kinds and l.target in self.concerns:
-                continue
-            tgt = self.entities.get(l.target)
-            if tgt is None:
-                problems.append(f"link {l.id}: dangling target {l.target!r}")
-            elif tgt.kind not in tuple(k for k in target_kinds if k != "concern"):
-                problems.append(
-                    f"link {l.id}: target kind {tgt.kind!r} not allowed for {l.kind}"
-                )
-        for c in self.concerns.values():
-            for ref in c.entity_refs:
-                if ref not in self.entities:
-                    problems.append(f"concern {c.id}: dangling entity ref {ref!r}")
+    def integrity_violations(self) -> list[tuple[str, str]]:
+        """Full-scan referential integrity check as ``(subject, message)``
+        pairs; an empty list means clean."""
+        problems = [
+            (l.id, f"link {l.id}: {message}")
+            for l in self.links.values()
+            for _, message in self._link_faults(l)
+        ]
+        problems += [
+            (c.id, f"concern {c.id}: dangling entity ref {ref!r}")
+            for c in self.concerns.values()
+            for ref in c.entity_refs
+            if ref not in self.entities
+        ]
         return problems
+
+
+def unknown_attributes(e: Entity) -> list[str]:
+    """One message per attribute key outside the kind's vocabulary; such
+    keys are accepted, and callers report the messages as warnings."""
+    vocab = ATTRIBUTE_VOCABULARY.get(e.kind, ())
+    return [
+        f"entity {e.id!r}: attribute {key!r} is not in the {e.kind!r} vocabulary"
+        for key in e.attributes
+        if key not in vocab
+    ]

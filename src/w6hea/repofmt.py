@@ -10,7 +10,6 @@ never raises on malformed input.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,9 +22,9 @@ from .model import (
     Link,
     ModelError,
     Repository,
-    UnknownAttributeWarning,
     View,
     ViewCell,
+    unknown_attributes,
 )
 
 TOP_LEVEL_KEYS = ("meta", "entities", "links", "concerns")
@@ -147,7 +146,9 @@ def parse_repository(
 
     # Entities first, then concerns, then links: links may point at concerns.
     for decl in sorted(entity_decls, key=lambda d: d.payload.id):
-        _apply(repo.add_entity, decl, diagnostics)
+        if _apply(repo.add_entity, decl, diagnostics):
+            for message in unknown_attributes(decl.payload):
+                diagnostics.append(Diagnostic("warning", message, decl.location))
     for decl in sorted(concern_decls, key=lambda d: d.payload.id):
         _apply(repo.add_concern, decl, diagnostics)
     for decl in sorted(link_decls, key=lambda d: d.payload.id):
@@ -162,15 +163,14 @@ def _error_count(diagnostics: list[Diagnostic]) -> int:
     return sum(1 for d in diagnostics if d.severity == "error")
 
 
-def _apply(adder, decl: _Decl, diagnostics: list[Diagnostic]) -> None:
+def _apply(adder, decl: _Decl, diagnostics: list[Diagnostic]) -> bool:
+    """Add one declaration; on a model error record it and return False."""
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UnknownAttributeWarning)
-            adder(decl.payload)
-        for w in caught:
-            diagnostics.append(Diagnostic("warning", str(w.message), decl.location))
+        adder(decl.payload)
     except ModelError as exc:
         diagnostics.append(Diagnostic("error", str(exc), decl.location))
+        return False
+    return True
 
 
 def _collect(walker, root, meta, entity_decls, link_decls, concern_decls):
@@ -178,7 +178,7 @@ def _collect(walker, root, meta, entity_decls, link_decls, concern_decls):
         key = _value(key_node)
         if key == "meta":
             for mk, mv in walker.mapping_items(value_node):
-                meta[_value(mk)] = _value(mv)
+                meta.setdefault(_value(mk), _value(mv))  # the first file's value wins
         elif key == "entities":
             for item in walker.sequence_items(value_node):
                 decl = _entity_decl(walker, item)

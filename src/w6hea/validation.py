@@ -1,8 +1,9 @@
 """Structural rule engine over a repository.
 
-Each rule inspects the read-only repository and emits findings; the combined
-list is sorted by (rule_id, subject) so output is stable regardless of file
-order or rule execution order.
+``RULES`` is the whole catalog: one ``(rule_id, severity, fn)`` row per rule,
+where ``fn`` inspects the read-only repository and yields ``(subject,
+message)`` pairs.  Findings are sorted by (rule_id, subject) so output is
+stable regardless of file order or rule execution order.
 """
 
 from __future__ import annotations
@@ -14,21 +15,8 @@ from .model import (
     Repository,
     View,
     ViewCell,
-    cells,
     prerequisites,
 )
-
-SEVERITIES = ("error", "warning", "info")
-
-RULES = {
-    "CATEGORY_EXPOSURE": "error",
-    "DATA_OWNERSHIP": "error",
-    "FUNCTION_UNLINKED": "warning",
-    "LIFECYCLE_MISSING": "info",
-    "LINK_INTEGRITY": "error",
-    "MOTIVATION_MISSING": "error",
-    "PRECEDENCE_VIOLATION": "warning",
-}
 
 
 @dataclass(frozen=True)
@@ -39,171 +27,134 @@ class Finding:
     message: str
 
 
-def _sorted(findings: list[Finding]) -> list[Finding]:
-    return sorted(findings, key=lambda f: (f.rule_id, f.subject))
-
-
-def validate(repo: Repository) -> list[Finding]:
-    """Run the full rule catalog; an empty result means fully compliant."""
-    findings: list[Finding] = []
-    findings += _rule_motivation_missing(repo)
-    findings += _rule_function_unlinked(repo)
-    findings += _rule_data_ownership(repo)
-    findings += _rule_category_exposure(repo)
-    findings += _rule_lifecycle_missing(repo)
-    findings += _rule_link_integrity(repo)
-    return _sorted(findings)
-
-
 def _services_and_apis(repo: Repository):
     for e in repo.entities.values():
         if e.kind in ("microservice", "api"):
             yield e
 
 
-def _rule_motivation_missing(repo: Repository) -> list[Finding]:
+def _motivation_missing(repo: Repository):
     # A why-cell concern reached via motivated_by, from any view, satisfies it.
     motivated = set()
     for link in repo.links_of_kind("motivated_by"):
         concern = repo.concerns.get(link.target)
         if concern and concern.cell.interrogative is Interrogative.WHY:
             motivated.add(link.source)
-    out = []
     for e in _services_and_apis(repo):
         if e.id not in motivated:
-            out.append(
-                Finding(
-                    "MOTIVATION_MISSING",
-                    RULES["MOTIVATION_MISSING"],
-                    e.id,
-                    f"{e.kind} {e.name!r} is not motivated by any "
-                    "why-cell concern (motivated_by)",
-                )
+            yield e.id, (
+                f"{e.kind} {e.name!r} is not motivated by any "
+                "why-cell concern (motivated_by)"
             )
-    return out
 
 
-def _rule_function_unlinked(repo: Repository) -> list[Finding]:
+def _function_unlinked(repo: Repository):
     automating = {l.source for l in repo.links_of_kind("automates")}
-    out = []
     for e in repo.entities_of_kind("microservice"):
         if e.id not in automating:
-            out.append(
-                Finding(
-                    "FUNCTION_UNLINKED",
-                    RULES["FUNCTION_UNLINKED"],
-                    e.id,
-                    f"microservice {e.name!r} automates no business function",
-                )
-            )
-    return out
+            yield e.id, f"microservice {e.name!r} automates no business function"
 
 
-def _rule_data_ownership(repo: Repository) -> list[Finding]:
+def _data_ownership(repo: Repository):
     owners: dict[str, set[str]] = {}
     for link in repo.links_of_kind("owns_data"):
         owners.setdefault(link.target, set()).add(link.source)
-    out = []
     for data_id, owner_ids in owners.items():
         data = repo.entities.get(data_id)
         if data is None or not data.attributes.get("persisted"):
             continue
         if len(owner_ids) > 1:
             names = ", ".join(sorted(owner_ids))
-            out.append(
-                Finding(
-                    "DATA_OWNERSHIP",
-                    RULES["DATA_OWNERSHIP"],
-                    data_id,
-                    f"persisted data element {data.name!r} is owned by "
-                    f"multiple microservices: {names}",
-                )
+            yield data_id, (
+                f"persisted data element {data.name!r} is owned by "
+                f"multiple microservices: {names}"
             )
-    return out
 
 
-def _rule_category_exposure(repo: Repository) -> list[Finding]:
+def _category_exposure(repo: Repository):
     exposed_by: dict[str, set[str]] = {}
     for link in repo.links_of_kind("exposes"):
         api = repo.entities.get(link.source)
         if api is not None and api.attributes.get("exposure") == "external":
             exposed_by.setdefault(link.target, set()).add(link.source)
-    out = []
     for ms_id, api_ids in exposed_by.items():
         ms = repo.entities.get(ms_id)
         if ms is None or ms.attributes.get("category") != "integrity":
             continue
         names = ", ".join(sorted(api_ids))
-        out.append(
-            Finding(
-                "CATEGORY_EXPOSURE",
-                RULES["CATEGORY_EXPOSURE"],
-                ms_id,
-                f"integrity microservice {ms.name!r} is reachable through "
-                f"externally exposed APIs: {names}",
-            )
+        yield ms_id, (
+            f"integrity microservice {ms.name!r} is reachable through "
+            f"externally exposed APIs: {names}"
         )
-    return out
 
 
-def _rule_lifecycle_missing(repo: Repository) -> list[Finding]:
+def _lifecycle_missing(repo: Repository):
     scheduled = {l.source for l in repo.links_of_kind("scheduled_on")}
-    out = []
     for e in _services_and_apis(repo):
         if e.id not in scheduled:
-            out.append(
-                Finding(
-                    "LIFECYCLE_MISSING",
-                    RULES["LIFECYCLE_MISSING"],
-                    e.id,
-                    f"{e.kind} {e.name!r} has no business-cycle link "
-                    "(renewal/retirement schedule)",
-                )
+            yield e.id, (
+                f"{e.kind} {e.name!r} has no business-cycle link "
+                "(renewal/retirement schedule)"
             )
-    return out
 
 
-def _rule_link_integrity(repo: Repository) -> list[Finding]:
-    out = []
-    for problem in repo.integrity_violations():
-        subject = problem.split(":", 1)[0].split(" ", 1)[-1]
-        out.append(Finding("LINK_INTEGRITY", RULES["LINK_INTEGRITY"], subject, problem))
-    return out
+def _link_integrity(repo: Repository):
+    return repo.integrity_violations()
 
 
-def check_precedence(repo: Repository) -> list[Finding]:
+def _precedence(repo: Repository):
     """Flag occupied cells whose prerequisite cells are all empty within the view.
 
     For each non-consumer view V and interrogative i with at least one concern
     at (V, i): some alternative prerequisite set must be fully covered by
-    non-empty cells of V, otherwise one PRECEDENCE_VIOLATION is emitted for
-    the cell.  At most one finding per occupied cell.
+    non-empty cells of V, otherwise the cell is flagged once.
     """
     occupied: dict[View, set[Interrogative]] = {}
     for concern in repo.concerns.values():
         if concern.cell.interrogative is not None:
             occupied.setdefault(concern.cell.view, set()).add(concern.cell.interrogative)
 
-    findings = []
     for view, interrogatives in occupied.items():
         for i in interrogatives:
             alternatives = prerequisites(i)
-            if not alternatives:
-                continue
-            if any(alt <= interrogatives for alt in alternatives):
+            if not alternatives or any(alt <= interrogatives for alt in alternatives):
                 continue
             wanted = " or ".join(
                 "{" + ", ".join(sorted(p.value for p in alt)) + "}"
                 for alt in alternatives
             )
-            cell = ViewCell(view, i)
-            findings.append(
-                Finding(
-                    "PRECEDENCE_VIOLATION",
-                    RULES["PRECEDENCE_VIOLATION"],
-                    cell.key(),
-                    f"cell {cell.key()} holds concerns but its prerequisites "
-                    f"{wanted} are not answered within the {view.value} view",
-                )
+            cell = ViewCell(view, i).key()
+            yield cell, (
+                f"cell {cell} holds concerns but its prerequisites "
+                f"{wanted} are not answered within the {view.value} view"
             )
-    return _sorted(findings)
+
+
+RULES = (
+    ("CATEGORY_EXPOSURE", "error", _category_exposure),
+    ("DATA_OWNERSHIP", "error", _data_ownership),
+    ("FUNCTION_UNLINKED", "warning", _function_unlinked),
+    ("LIFECYCLE_MISSING", "info", _lifecycle_missing),
+    ("LINK_INTEGRITY", "error", _link_integrity),
+    ("MOTIVATION_MISSING", "error", _motivation_missing),
+    ("PRECEDENCE_VIOLATION", "warning", _precedence),
+)
+
+
+def _run(repo: Repository, rules) -> list[Finding]:
+    findings = [
+        Finding(rule_id, severity, subject, message)
+        for rule_id, severity, fn in rules
+        for subject, message in fn(repo)
+    ]
+    return sorted(findings, key=lambda f: (f.rule_id, f.subject))
+
+
+def validate(repo: Repository) -> list[Finding]:
+    """Run the full rule catalog; an empty result means fully compliant."""
+    return _run(repo, RULES)
+
+
+def check_precedence(repo: Repository) -> list[Finding]:
+    """The PRECEDENCE_VIOLATION findings alone (at most one per occupied cell)."""
+    return _run(repo, [row for row in RULES if row[0] == "PRECEDENCE_VIOLATION"])

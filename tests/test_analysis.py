@@ -321,3 +321,11 @@ def _components(g):
     for (a, b) in g.edge_weights:
         parent[find(a)] = find(b)
     return {node: find(node) for node in parent}
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_non_finite_view_weight_is_rejected(weight):
+    repo = Repository()
+    repo.add_entity(Entity("microservice", "cart"))
+    with pytest.raises(ValueError):
+        value_scores(repo, {"owner": weight})

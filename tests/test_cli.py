@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -40,7 +41,7 @@ class TestValidate:
     def test_directory_discovery(self, tmp_path):
         (tmp_path / "sub").mkdir()
         (tmp_path / "sub" / "r.ea.yaml").write_text(
-            open(COMPLIANT, encoding="utf-8").read()
+            Path(COMPLIANT).read_text(encoding="utf-8")
         )
         result = run("validate", str(tmp_path))
         assert result.exit_code == 0
@@ -127,7 +128,7 @@ class TestFmt:
 
     def test_fmt_write_is_idempotent(self, tmp_path):
         target = tmp_path / "r.ea.yaml"
-        target.write_text(open(COMPLIANT, encoding="utf-8").read())
+        target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
         assert run("fmt", str(target), "--write").exit_code == 0
         once = target.read_bytes()
         assert run("fmt", str(target), "--write").exit_code == 0
@@ -142,7 +143,7 @@ class TestIngestCli:
 
     def test_ingest_k8s_merge_write(self, tmp_path):
         target = tmp_path / "r.ea.yaml"
-        target.write_text(open(COMPLIANT, encoding="utf-8").read())
+        target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
         result = run("ingest", "k8s", K8S, "--repo", str(target), "--write")
         assert result.exit_code == 0
         text = target.read_text()
@@ -151,7 +152,13 @@ class TestIngestCli:
 
     def test_read_only_without_write(self, tmp_path):
         target = tmp_path / "r.ea.yaml"
-        target.write_text(open(COMPLIANT, encoding="utf-8").read())
+        target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
         before = target.read_bytes()
         run("ingest", "k8s", K8S, "--repo", str(target))
         assert target.read_bytes() == before
+
+
+def test_nan_weight_is_a_usage_error():
+    result = run("analyze", "scores", COMPLIANT, "--weights", "owner=nan")
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output

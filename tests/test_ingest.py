@@ -150,3 +150,63 @@ class TestMerge:
         proposal, _ = ingest_k8s([read("cart.k8s.yaml")], compliant_repo)
         merge_proposal(compliant_repo, proposal, "overwrite_attributes")
         assert compliant_repo == before
+
+
+class TestOverwriteChecks:
+    def test_overwrite_with_dangling_concern_ref_is_rejected(self, compliant_repo):
+        from w6hea.ingest import IngestProposal
+        from w6hea.model import Concern
+
+        kept = compliant_repo.concerns["scope.why.growth"]
+        proposal = IngestProposal(
+            concerns=[
+                Concern(
+                    "scope.why.growth",
+                    ViewCell(View.SCOPE, Interrogative.WHY),
+                    entity_refs=["api.ghost"],
+                )
+            ]
+        )
+        merged, diagnostics = merge_proposal(compliant_repo, proposal, "overwrite_attributes")
+        errors = [d for d in diagnostics if d.severity == "error"]
+        assert len(errors) == 1
+        assert "api.ghost" in errors[0].message
+        assert merged.concerns["scope.why.growth"] == kept
+
+    def test_overwrite_with_invalid_category_is_rejected(self, compliant_repo):
+        from w6hea.ingest import IngestProposal
+        from w6hea.model import Entity
+
+        kept = dict(compliant_repo.entities["microservice.cart"].attributes)
+        proposal = IngestProposal(
+            source="bogus.yaml",
+            entities=[Entity("microservice", "cart", {"category": "bogus"})],
+        )
+        merged, diagnostics = merge_proposal(compliant_repo, proposal, "overwrite_attributes")
+        errors = [d for d in diagnostics if d.severity == "error"]
+        assert len(errors) == 1
+        assert "category" in errors[0].message
+        assert errors[0].location.file == "bogus.yaml"
+        assert merged.entities["microservice.cart"].attributes == kept
+
+
+def test_merge_reports_unknown_attribute_as_diagnostic(compliant_repo):
+    import warnings
+
+    from w6hea.ingest import IngestProposal
+    from w6hea.model import Entity
+
+    proposal = IngestProposal(
+        source="extra.yaml", entities=[Entity("location", "eu", {"colour": "red"})]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        merged, diagnostics = merge_proposal(compliant_repo, proposal)
+    assert "location.eu" in merged.entities
+    assert [(d.severity, d.message, d.location.file) for d in diagnostics] == [
+        (
+            "warning",
+            "entity 'location.eu': attribute 'colour' is not in the 'location' vocabulary",
+            "extra.yaml",
+        )
+    ]

@@ -14,12 +14,12 @@ from w6hea.model import (
     NegativeWeight,
     PrecedenceGraph,
     Repository,
-    UnknownAttributeWarning,
     View,
     ViewCell,
     cells,
     interrogative_order,
     prerequisites,
+    unknown_attributes,
 )
 
 I = Interrogative
@@ -126,9 +126,13 @@ class TestRepositoryMutation:
 
     def test_unknown_attribute_warns(self):
         repo = Repository()
-        with pytest.warns(UnknownAttributeWarning):
-            repo.add_entity(Entity("microservice", "cart", {"colour": "red"}))
+        cart = Entity("microservice", "cart", {"colour": "red", "category": "system"})
+        repo.add_entity(cart)
         assert "microservice.cart" in repo.entities
+        assert unknown_attributes(cart) == [
+            "entity 'microservice.cart': attribute 'colour' is not in the "
+            "'microservice' vocabulary"
+        ]
 
     def test_add_link_happy_path(self):
         repo = Repository()
@@ -189,7 +193,37 @@ class TestRepositoryMutation:
         )
         assert repo.integrity_violations() == []
 
+    def test_integrity_reports_both_dangling_ends(self):
+        repo = Repository()
+        link = Link("exposes", "api.gone", "microservice.gone")
+        repo.links[link.id] = link  # a hand edit that bypassed add_link
+        assert repo.integrity_violations() == [
+            (link.id, f"link {link.id}: link source 'api.gone' does not resolve"),
+            (link.id, f"link {link.id}: link target 'microservice.gone' does not resolve"),
+        ]
+
     def test_deterministic_ids(self):
         a = Entity("microservice", "Order Processing")
         b = Entity("microservice", "Order Processing")
         assert a.id == b.id == "microservice.order-processing"
+
+
+class TestNonFiniteWeight:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_is_rejected(self, weight):
+        repo = Repository()
+        repo.add_entity(Entity("api", "orders"))
+        repo.add_entity(Entity("microservice", "cart"))
+        with pytest.raises(NegativeWeight):
+            repo.add_link(Link("exposes", "api.orders", "microservice.cart", weight=weight))
+        assert repo.links == {}
+
+    def test_negative_weight_message_unchanged(self):
+        repo = Repository()
+        repo.add_entity(Entity("api", "orders"))
+        repo.add_entity(Entity("microservice", "cart"))
+        with pytest.raises(NegativeWeight) as info:
+            repo.add_link(Link("exposes", "api.orders", "microservice.cart", weight=-1))
+        assert str(info.value) == (
+            "link 'exposes--api.orders--microservice.cart' has negative weight -1"
+        )

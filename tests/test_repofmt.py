@@ -137,3 +137,28 @@ class TestRoundTrip:
         assert serialize_repository(copy.deepcopy(compliant_repo)) == serialize_repository(
             compliant_repo
         )
+
+
+def test_meta_first_file_wins():
+    first = SourceDocument("a.ea.yaml", "meta:\n  name: first\n")
+    second = SourceDocument("b.ea.yaml", "meta:\n  name: second\n")
+    repo, diagnostics = parse_repository([first, second])
+    assert diagnostics == []
+    assert repo.name == "first"
+
+
+def test_unknown_attribute_is_a_located_warning():
+    text = (
+        "entities:\n"
+        "  - kind: api\n"
+        "    name: orders\n"
+        "  - kind: microservice\n"
+        "    name: cart\n"
+        "    attributes: {colour: red}\n"
+    )
+    repo, diagnostics = parse_text(text)
+    assert "microservice.cart" in repo.entities
+    assert [str(d) for d in diagnostics] == [
+        "repo.ea.yaml:4:5: warning: entity 'microservice.cart': attribute "
+        "'colour' is not in the 'microservice' vocabulary"
+    ]

@@ -98,6 +98,13 @@ class TestRuleCatalog:
 
 
 class TestPrecedence:
+    def test_validate_runs_precedence(self):
+        repo = Repository()
+        repo.add_concern(Concern("c1", ViewCell(View.SCOPE, I.HOW)))
+        findings = validate(repo)
+        assert rule_ids(findings) == ["PRECEDENCE_VIOLATION"]
+        assert findings == check_precedence(repo)
+
     def test_lone_how_concern_is_flagged(self):
         repo = Repository()
         repo.add_concern(Concern("c1", ViewCell(View.SCOPE, I.HOW)))
