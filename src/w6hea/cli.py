@@ -21,14 +21,6 @@ REPO_PATTERNS = ("*.ea.yaml", "*.ea.json")
 CONFIG_FILENAME = ".w6hea.toml"
 
 
-def _use_color() -> bool:
-    return not os.environ.get("EA_NO_COLOR") and sys.stdout.isatty()
-
-
-def _styled(text: str, **kwargs) -> str:
-    return click.style(text, **kwargs) if _use_color() else text
-
-
 def discover_files(paths: tuple[str, ...]) -> list[Path]:
     """Expand positional paths: files as given, directories searched
     recursively for repository files."""
@@ -101,6 +93,16 @@ def _parse_weights(spec: str | None) -> dict[str, float]:
     return weights
 
 
+def _config_number(config: dict, key: str, convert, default):
+    """A numeric config default; a value that does not convert is a usage error."""
+    try:
+        return convert(config.get(key, default))
+    except ValueError:
+        raise click.UsageError(
+            f"config value {key} = {config[key]!r} is not a valid {convert.__name__}"
+        )
+
+
 @click.group()
 @click.option("--config", "config_path", default=None, help="Config file with defaults.")
 @click.pass_context
@@ -117,11 +119,14 @@ def validate(ctx, paths):
     """Run the structural rule catalog; exit 1 on error findings."""
     repo = _load_repo(paths)
     findings = validation.validate(repo)
+    # click strips the styling itself when stdout is not a terminal.
+    use_color = False if os.environ.get("EA_NO_COLOR") else None
     has_errors = False
     for f in findings:
-        color = {"error": "red", "warning": "yellow", "info": "cyan"}.get(f.severity)
+        fg = {"error": "red", "warning": "yellow", "info": "cyan"}.get(f.severity)
         click.echo(
-            f"{_styled(f.severity.upper(), fg=color)} {f.rule_id} {f.subject}: {f.message}"
+            f"{click.style(f.severity.upper(), fg=fg)} {f.rule_id} {f.subject}: {f.message}",
+            color=use_color,
         )
         has_errors = has_errors or f.severity == "error"
     sys.exit(1 if has_errors else 0)
@@ -236,9 +241,9 @@ def analyze(ctx, what, paths, threshold, seed, weights_spec):
     """Score, rank, or cluster the repository's services."""
     config = ctx.obj.get("config", {}) if ctx.obj else {}
     if threshold is None:
-        threshold = float(config.get("threshold", 1.0))
+        threshold = _config_number(config, "threshold", float, 1.0)
     if seed is None:
-        seed = int(config.get("seed", 0))
+        seed = _config_number(config, "seed", int, 0)
     if weights_spec is None:
         weights_spec = config.get("weights")
     repo = _load_repo(paths)
@@ -284,13 +289,7 @@ def export(what, paths, out_dir):
 @click.option("--write", is_flag=True, help="Rewrite files in place (single-file output).")
 def fmt(paths, write):
     """Canonicalize repository files (idempotent)."""
-    docs = _read_docs(paths)
-    repo, diagnostics = parse_repository(docs)
-    for d in diagnostics:
-        click.echo(str(d), err=True)
-    if repo is None:
-        sys.exit(2)
-    text = serialize_repository(repo)
+    text = serialize_repository(_load_repo(paths))
     if write:
         files = discover_files(paths)
         if len(files) != 1:

@@ -41,12 +41,19 @@ class IngestProposal:
     source: str = ""
 
 
-def _load(doc: SourceDocument):
-    return yaml.safe_load(doc.text)
-
-
 def _warn(diags, path, message, line=1):
     diags.append(Diagnostic("warning", message, Location(path, line, 1)))
+
+
+def _mapping(value) -> dict:
+    """``value`` if it is a mapping, else an empty one: in an outside document
+    a field of the wrong shape reads as absent."""
+    return value if isinstance(value, dict) else {}
+
+
+def _mappings(value) -> list[dict]:
+    """The mapping items of ``value`` if it is a list, else none."""
+    return [item for item in value if isinstance(item, dict)] if isinstance(value, list) else []
 
 
 def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic]]:
@@ -62,7 +69,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     diags: list[Diagnostic] = []
 
     try:
-        data = _load(doc)
+        data = yaml.safe_load(doc.text)
     except yaml.YAMLError as exc:
         diags.append(Diagnostic("error", f"invalid document: {exc}", Location(doc.path, 1, 1)))
         return proposal, diags
@@ -74,8 +81,10 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     if not version.startswith("3"):
         _warn(diags, doc.path, f"unsupported OpenAPI version {version!r}; parsing best-effort")
 
-    title = (data.get("info") or {}).get("title") or "untitled-api"
-    tags = [t.get("name") for t in data.get("tags") or [] if isinstance(t, dict) and t.get("name")]
+    title = str(_mapping(data.get("info")).get("title") or "untitled-api")
+    tags = [
+        t["name"] for t in _mappings(data.get("tags")) if isinstance(t.get("name"), str) and t["name"]
+    ]
 
     apis: dict[str, Entity] = {}
 
@@ -84,19 +93,14 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
             apis[group] = Entity(kind="api", name=group, attributes={"methods": []})
         return apis[group]
 
-    # Untagged operations fall back to the document title even when tags exist.
-    default_group = title
-
     paths = data.get("paths")
     if not isinstance(paths, dict):
         paths = {}
         _warn(diags, doc.path, "document has no 'paths' mapping")
     if not paths:
         _warn(diags, doc.path, "document declares no operations")
-        api_for(default_group)
 
-    method_count = 0
-    for path in sorted(paths):
+    for path in sorted(paths, key=str):
         item = paths[path]
         if not isinstance(item, dict):
             _warn(diags, doc.path, f"path {path!r} is not a mapping; skipped")
@@ -105,22 +109,25 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
             op = item.get(verb)
             if not isinstance(op, dict):
                 continue
-            codes = sorted(str(c) for c in (op.get("responses") or {}))
+            codes = sorted(str(c) for c in _mapping(op.get("responses")))
+            status = codes[0] if codes else None
             record = {
                 "verb": verb,
                 "path": path,
                 "design_tech": "OpenAPI",
-                "status_code": int(codes[0]) if codes and codes[0].isdigit() else (codes[0] if codes else None),
+                "status_code": int(status) if status and status.isdecimal() else status,
             }
             if len(codes) > 1:
                 record["status_codes"] = codes
-            op_tags = [t for t in op.get("tags") or [] if t in tags]
-            group = op_tags[0] if (tags and op_tags) else default_group
+            # Untagged operations fall back to the document title even when tags exist.
+            op_tags = op.get("tags")
+            if not isinstance(op_tags, list):
+                op_tags = []
+            group = next((t for t in op_tags if t in tags), title)
             api_for(group).attributes["methods"].append(record)
-            method_count += 1
 
     if not apis:
-        api_for(default_group)
+        api_for(title)
 
     proposal.entities = [apis[name] for name in sorted(apis)]
     records = []
@@ -150,6 +157,8 @@ def ingest_k8s(
     to the like-named target.  When a workload's ``app`` label matches a
     microservice in ``repo``, a deployed_on link is proposed.  A concern
     holding the pod/network table is proposed at the builder/where cell.
+    A manifest without a string ``metadata.name``, or a workload whose
+    ``spec.replicas`` is set but not an integer, is skipped with a warning.
     """
     proposal = IngestProposal(source=";".join(d.path for d in docs))
     diags: list[Diagnostic] = []
@@ -173,56 +182,52 @@ def ingest_k8s(
             if kind not in K8S_SUPPORTED_KINDS:
                 _warn(diags, doc.path, f"unsupported manifest kind {kind!r} skipped")
                 continue
-            metadata = manifest.get("metadata") or {}
+            metadata = _mapping(manifest.get("metadata"))
             name = metadata.get("name")
-            if not name:
+            if not isinstance(name, str) or not name:
                 _warn(diags, doc.path, f"{kind} without metadata.name skipped")
                 continue
-            spec = manifest.get("spec") or {}
+            spec = _mapping(manifest.get("spec"))
 
             if kind in K8S_WORKLOAD_KINDS:
-                images = []
-                containers = ((spec.get("template") or {}).get("spec") or {}).get(
-                    "containers"
-                ) or []
-                for container in containers:
-                    image = container.get("image")
-                    if image:
-                        images.append(image)
-                target = _target_for(targets, name)
-                target.attributes.update(
-                    {
-                        "namespace": metadata.get("namespace", "default"),
-                        "replicas": int(spec.get("replicas", 1)),
-                        "images": images,
-                    }
-                )
-                app = _app_label(metadata, spec)
-                if app:
-                    pending_links.append((app, target.id))
-                rows.append(
-                    {
-                        "workload": name,
-                        "kind": kind,
-                        "namespace": metadata.get("namespace", "default"),
-                        "replicas": int(spec.get("replicas", 1)),
-                        "images": images,
-                    }
-                )
+                replicas = 1 if spec.get("replicas") is None else spec["replicas"]
+                if type(replicas) is not int:  # a bool is not a replica count
+                    message = f"{kind} {name!r} has non-integer replicas {replicas!r}; skipped"
+                    _warn(diags, doc.path, message)
+                    continue
+                template = _mapping(spec.get("template"))
+                containers = _mappings(_mapping(template.get("spec")).get("containers"))
+                attributes = {
+                    "namespace": metadata.get("namespace", "default"),
+                    "replicas": replicas,
+                    "images": [c["image"] for c in containers if c.get("image")],
+                }
+                target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
+                target.attributes.update(attributes)
+                for labels in (
+                    _mapping(spec.get("selector")).get("matchLabels"),
+                    metadata.get("labels"),
+                    _mapping(template.get("metadata")).get("labels"),
+                ):
+                    app = _mapping(labels).get("app")
+                    if app:
+                        pending_links.append((str(app), target.id))
+                        break
+                rows.append({"workload": name, "kind": kind, **attributes})
             elif kind == "Service":
-                ports = []
-                for port in spec.get("ports") or []:
-                    ports.append(
-                        {
-                            "port": port.get("port"),
-                            "target_port": port.get("targetPort"),
-                            "protocol": port.get("protocol", "TCP"),
-                        }
-                    )
-                target = _target_for(targets, name)
+                ports = [
+                    {
+                        "port": port.get("port"),
+                        "target_port": port.get("targetPort"),
+                        "protocol": port.get("protocol", "TCP"),
+                    }
+                    for port in _mappings(spec.get("ports"))
+                ]
+                target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
                 target.attributes["endpoints"] = ports
-                if spec.get("selector"):
-                    target.attributes["selector"] = dict(spec["selector"])
+                selector = _mapping(spec.get("selector"))
+                if selector:
+                    target.attributes["selector"] = dict(selector)
                 rows.append({"service": name, "endpoints": ports})
             elif kind == "Namespace":
                 proposal.entities.append(Entity(kind="location", name=name))
@@ -248,23 +253,6 @@ def ingest_k8s(
             )
         )
     return proposal, diags
-
-
-def _target_for(targets: dict[str, Entity], name: str) -> Entity:
-    if name not in targets:
-        targets[name] = Entity(kind="deployment_target", name=name, attributes={})
-    return targets[name]
-
-
-def _app_label(metadata: dict, spec: dict) -> Optional[str]:
-    for labels in (
-        (spec.get("selector") or {}).get("matchLabels") or {},
-        metadata.get("labels") or {},
-        ((spec.get("template") or {}).get("metadata") or {}).get("labels") or {},
-    ):
-        if labels.get("app"):
-            return str(labels["app"])
-    return None
 
 
 MERGE_STRATEGIES = ("add_only", "overwrite_attributes")

@@ -319,19 +319,6 @@ ATTRIBUTE_VOCABULARY: dict[str, tuple[str, ...]] = {
     "code_sample": ("language", "url"),
 }
 
-LINK_KINDS = (
-    "automates",
-    "exposes",
-    "owns_data",
-    "resides_at",
-    "deployed_on",
-    "motivated_by",
-    "scheduled_on",
-    "implements_rule",
-    "serves",
-    "documents",
-)
-
 # kind -> (allowed source entity kinds, allowed target kinds).
 # "concern" as a target kind means the link points at a concern id.
 LINK_SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
@@ -406,9 +393,6 @@ class Repository:
     concerns: dict[str, Concern] = field(default_factory=dict)
 
     # -- lookups ---------------------------------------------------------
-
-    def entity(self, eid: str) -> Entity:
-        return self.entities[eid]
 
     def entities_of_kind(self, kind: str) -> list[Entity]:
         return [e for e in self.entities.values() if e.kind == kind]

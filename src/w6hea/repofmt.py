@@ -27,8 +27,6 @@ from .model import (
     unknown_attributes,
 )
 
-TOP_LEVEL_KEYS = ("meta", "entities", "links", "concerns")
-
 
 @dataclass(frozen=True)
 class Location:
@@ -142,7 +140,6 @@ def parse_repository(
             _collect(walker, node, meta, entity_decls, link_decls, concern_decls)
 
     repo = Repository(name=meta.get("name", "repository"), version=str(meta.get("version", "0")))
-    errors_before = _error_count(diagnostics)
 
     # Entities first, then concerns, then links: links may point at concerns.
     for decl in sorted(entity_decls, key=lambda d: d.payload.id):
@@ -154,13 +151,9 @@ def parse_repository(
     for decl in sorted(link_decls, key=lambda d: d.payload.id):
         _apply(repo.add_link, decl, diagnostics)
 
-    if _error_count(diagnostics) > errors_before or errors_before > 0:
+    if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
     return repo, diagnostics
-
-
-def _error_count(diagnostics: list[Diagnostic]) -> int:
-    return sum(1 for d in diagnostics if d.severity == "error")
 
 
 def _apply(adder, decl: _Decl, diagnostics: list[Diagnostic]) -> bool:

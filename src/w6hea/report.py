@@ -1,13 +1,11 @@
 """Renderers: Markdown coverage matrix, findings/scores JSON, DOT graph export.
 
-All output is byte-identical across runs for identical inputs; timestamps are
-opt-in (``stamp``) so exports stay diff-friendly.
+All output is byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 
 from .analysis import CoverageMatrix, ValueGraph
 from .model import Interrogative, View, ViewCell, interrogative_order
@@ -38,20 +36,12 @@ DOT_SHAPES = {
 DOT_DEFAULT_SHAPE = "oval"
 
 
-def _stamp_line(stamp: bool, comment: str) -> list[str]:
-    if not stamp:
-        return []
-    now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return [comment.format(now)]
-
-
-def render_matrix(matrix: CoverageMatrix, stamp: bool = False) -> str:
+def render_matrix(matrix: CoverageMatrix) -> str:
     """Markdown table: four view rows x seven columns plus the merged
     consumer row; each cell shows status and concern count."""
     coverage = matrix.by_cell()
     order = interrogative_order()
-    lines = _stamp_line(stamp, "<!-- generated {} -->")
-    lines.append("| View | " + " | ".join(COLUMN_HEADERS[i] for i in order) + " |")
+    lines = ["| View | " + " | ".join(COLUMN_HEADERS[i] for i in order) + " |"]
     lines.append("|" + " --- |" * (len(order) + 1))
     for view in sorted(View, key=lambda v: v.rank):
         if view is View.CONSUMER:
@@ -90,11 +80,10 @@ def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_graph_dot(g: ValueGraph, stamp: bool = False) -> str:
+def export_graph_dot(g: ValueGraph) -> str:
     """DOT text: one node statement per node (shape encodes kind), one edge
     statement per edge with its weight attribute."""
-    lines = _stamp_line(stamp, "// generated {}")
-    lines.append("graph value_graph {")
+    lines = ["graph value_graph {"]
     for node in g.nodes:
         shape = DOT_SHAPES.get(g.node_kinds[node], DOT_DEFAULT_SHAPE)
         lines.append(f"  {_dot_quote(node)} [shape={shape}];")

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from w6hea.cli import main
@@ -162,3 +163,21 @@ def test_nan_weight_is_a_usage_error():
     result = run("analyze", "scores", COMPLIANT, "--weights", "owner=nan")
     assert result.exit_code == 2
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("key, value", [("seed", "abc"), ("threshold", "x")])
+def test_non_numeric_config_value_is_a_usage_error(tmp_path, key, value):
+    config = tmp_path / "bad.toml"
+    config.write_text(f"{key} = {value}\n")
+    result = run("--config", str(config), "analyze", "scores", COMPLIANT)
+    assert result.exit_code == 2
+    assert f"{key} = {value!r}" in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_no_color_env_disables_styling():
+    styled = run("validate", VIOLATIONS, color=True)
+    plain = run("validate", VIOLATIONS, color=True, env={"EA_NO_COLOR": "1"})
+    assert "\x1b[31mERROR\x1b[0m" in styled.stdout
+    assert "\x1b[" not in plain.stdout
+    assert plain.stdout == run("validate", VIOLATIONS).stdout

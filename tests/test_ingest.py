@@ -1,3 +1,5 @@
+import pytest
+
 from w6hea.ingest import ingest_k8s, ingest_openapi, merge_proposal
 from w6hea.model import Interrogative, View, ViewCell
 from w6hea.repofmt import SourceDocument
@@ -210,3 +212,95 @@ def test_merge_reports_unknown_attribute_as_diagnostic(compliant_repo):
             "extra.yaml",
         )
     ]
+
+
+# Wrong-shaped fields of outside documents read as absent; a manifest without a
+# usable name or replica count is skipped with one warning.
+K8S_MALFORMED = [
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: cart}\nspec: {replicas: '{{ .Values.replicas }}'}\n",
+        "Deployment 'cart' has non-integer replicas '{{ .Values.replicas }}'; skipped",
+        {},
+        id="templated-replicas",
+    ),
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: cart}\nspec: {replicas: null}\n",
+        None,
+        {"cart": {"namespace": "default", "replicas": 1, "images": []}},
+        id="null-replicas",
+    ),
+    pytest.param(
+        "kind: Service\nmetadata: {name: 123}\n",
+        "Service without metadata.name skipped",
+        {},
+        id="int-name",
+    ),
+    pytest.param(
+        "kind: Deployment\nmetadata: [cart]\n",
+        "Deployment without metadata.name skipped",
+        {},
+        id="list-metadata",
+    ),
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: cart}\n"
+        "spec: {template: {spec: {containers: [nginx, {image: 'nginx:1'}]}}}\n",
+        None,
+        {"cart": {"namespace": "default", "replicas": 1, "images": ["nginx:1"]}},
+        id="string-container",
+    ),
+    pytest.param(
+        "kind: Service\nmetadata: {name: cart}\nspec: {ports: [80]}\n",
+        None,
+        {"cart": {"endpoints": []}},
+        id="scalar-port",
+    ),
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: cart}\nspec: {template: [spec]}\n",
+        None,
+        {"cart": {"namespace": "default", "replicas": 1, "images": []}},
+        id="list-template",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, warning, targets", K8S_MALFORMED)
+def test_k8s_wrong_shaped_field_reads_as_absent(text, warning, targets):
+    proposal, diagnostics = ingest_k8s([SourceDocument("bad.yaml", text)])
+    assert [(d.severity, d.message, str(d.location)) for d in diagnostics] == (
+        [] if warning is None else [("warning", warning, "bad.yaml:1:1")]
+    )
+    assert {e.name: e.attributes for e in proposal.entities} == targets
+
+
+OPENAPI_MALFORMED = [
+    pytest.param(
+        "info: [x]\npaths: {/a: {get: {}}}\n",
+        {"untitled-api": [("/a", None)]},
+        id="list-info",
+    ),
+    pytest.param(
+        "info: {title: Shop}\ntags: [{name: [1]}]\npaths: {/a: {get: {tags: [[1]]}}}\n",
+        {"Shop": [("/a", None)]},
+        id="list-tag-name",
+    ),
+    pytest.param(
+        "info: {title: Shop}\npaths: {200: {get: {}}, /a: {get: {}}}\n",
+        {"Shop": [("/a", None), (200, None)]},
+        id="int-and-str-paths",
+    ),
+    pytest.param(
+        "info: {title: Shop}\npaths: {/a: {get: {responses: {'²': {}}}}}\n",
+        {"Shop": [("/a", "²")]},
+        id="superscript-status",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, methods", OPENAPI_MALFORMED)
+def test_openapi_wrong_shaped_field_reads_as_absent(text, methods):
+    proposal, diagnostics = ingest_openapi(SourceDocument("bad.yaml", "openapi: 3.0.0\n" + text))
+    assert diagnostics == []
+    assert {
+        e.name: [(m["path"], m["status_code"]) for m in e.attributes["methods"]]
+        for e in proposal.entities
+    } == methods

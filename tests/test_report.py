@@ -40,12 +40,7 @@ class TestMatrix:
     def test_deterministic(self, compliant_repo):
         matrix = coverage_matrix(compliant_repo)
         assert render_matrix(matrix) == render_matrix(matrix)
-
-    def test_stamp_is_opt_in(self):
-        plain = render_matrix(coverage_matrix(Repository()))
-        stamped = render_matrix(coverage_matrix(Repository()), stamp=True)
-        assert "generated" not in plain
-        assert "generated" in stamped
+        assert "generated" not in render_matrix(matrix)
 
 
 class TestFindingsJson:
