@@ -48,13 +48,18 @@ def _read_docs(paths: tuple[str, ...]) -> list[SourceDocument]:
     return docs
 
 
+def _report(diagnostics) -> None:
+    """Echo diagnostics to stderr; exit 2 if any of them is an error."""
+    for d in diagnostics:
+        click.echo(str(d), err=True)
+    if any(d.severity == "error" for d in diagnostics):
+        sys.exit(2)
+
+
 def _load_repo(paths: tuple[str, ...]) -> Repository:
     """Parse a repository or exit 2 with diagnostics on stderr."""
     repo, diagnostics = parse_repository(_read_docs(paths))
-    for d in diagnostics:
-        click.echo(str(d), err=True)
-    if repo is None:
-        sys.exit(2)
+    _report(diagnostics)  # the repository is None exactly when one is an error
     return repo
 
 
@@ -164,18 +169,14 @@ def ingest_group():
 
 
 def _run_merge(proposal, diags, repo_paths, merge_strategy, write):
-    for d in diags:
-        click.echo(str(d), err=True)
-    if any(d.severity == "error" for d in diags):
-        sys.exit(2)
+    _report(diags)
     strategy = "overwrite_attributes" if merge_strategy == "overwrite" else "add_only"
     if repo_paths:
         repo = _load_repo(tuple(repo_paths))
     else:
         repo = Repository()
     merged, merge_diags = ingest.merge_proposal(repo, proposal, strategy)
-    for d in merge_diags:
-        click.echo(str(d), err=True)
+    _report(merge_diags)
     text = serialize_repository(merged)
     if write:
         if len(repo_paths) != 1 or not Path(repo_paths[0]).is_file():

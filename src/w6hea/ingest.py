@@ -23,7 +23,7 @@ from .model import (
     slugify,
     unknown_attributes,
 )
-from .repofmt import Diagnostic, Location, SourceDocument
+from .repofmt import Diagnostic, Location, SourceDocument, YamlLoader, yaml_error
 
 HTTP_VERBS = ("get", "put", "post", "delete", "options", "head", "patch", "trace")
 
@@ -69,9 +69,9 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     diags: list[Diagnostic] = []
 
     try:
-        data = yaml.safe_load(doc.text)
+        data = yaml.load(doc.text, Loader=YamlLoader)
     except yaml.YAMLError as exc:
-        diags.append(Diagnostic("error", f"invalid document: {exc}", Location(doc.path, 1, 1)))
+        diags.append(yaml_error(doc.path, exc))
         return proposal, diags
     if not isinstance(data, dict):
         diags.append(Diagnostic("error", "not an OpenAPI document", Location(doc.path, 1, 1)))
@@ -81,9 +81,13 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     if not version.startswith("3"):
         _warn(diags, doc.path, f"unsupported OpenAPI version {version!r}; parsing best-effort")
 
-    title = str(_mapping(data.get("info")).get("title") or "untitled-api")
+    # A name without a letter or digit would give an empty id: read it as absent.
+    title = str(_mapping(data.get("info")).get("title") or "")
+    title = title if slugify(title) else "untitled-api"
     tags = [
-        t["name"] for t in _mappings(data.get("tags")) if isinstance(t.get("name"), str) and t["name"]
+        t["name"]
+        for t in _mappings(data.get("tags"))
+        if isinstance(t.get("name"), str) and slugify(t["name"])
     ]
 
     apis: dict[str, Entity] = {}
@@ -168,11 +172,9 @@ def ingest_k8s(
 
     for doc in docs:
         try:
-            manifests = [m for m in yaml.safe_load_all(doc.text) if m is not None]
+            manifests = [m for m in yaml.load_all(doc.text, Loader=YamlLoader) if m is not None]
         except yaml.YAMLError as exc:
-            diags.append(
-                Diagnostic("error", f"invalid manifest: {exc}", Location(doc.path, 1, 1))
-            )
+            diags.append(yaml_error(doc.path, exc))
             continue
         for manifest in manifests:
             if not isinstance(manifest, dict):

@@ -10,10 +10,12 @@ never raises on malformed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
 
 from .model import (
     Concern,
@@ -59,51 +61,138 @@ class SourceDocument:
             return cls(path=str(path), text=fh.read())
 
 
-_constructor = yaml.constructor.SafeConstructor()
+_ALIAS_LIMIT = 100_000  # values aliases may add to one document once expanded
 
 
-def _value(node):
-    """Plain-Python value of a composed YAML node."""
-    return _constructor.construct_object(node, deep=True)
+class YamlLoader(yaml.SafeLoader):
+    """``SafeLoader`` whose every failure on YAML text is a located
+    ``yaml.YAMLError`` and whose ``construct_document`` keeps no state between
+    calls.  It also rejects a key written twice in one mapping, an alias inside
+    its own anchor, and aliases that expand to more than ``_ALIAS_LIMIT`` values."""
+
+    def compose_document(self):
+        self.expanded, self.sizes = 0, {}  # values aliases added; aliased node -> size
+        try:
+            return super().compose_document()
+        except RecursionError:
+            raise ComposerError(None, None, "nesting too deep", self.get_mark()) from None
+
+    def compose_node(self, parent, index):
+        if not (self.anchors and self.check_event(yaml.AliasEvent)):  # no anchor, no alias
+            return super().compose_node(parent, index)
+        event = self.peek_event()
+        node = super().compose_node(parent, index)
+        if node.end_mark is None:  # the composer sets it when a collection is done
+            message = f"alias *{event.anchor} is inside its own anchor"
+            raise ComposerError(None, None, message, event.start_mark)
+        self.expanded += self._size(node)
+        if self.expanded > _ALIAS_LIMIT:
+            message = f"aliases expand to more than {_ALIAS_LIMIT} values"
+            raise ComposerError(None, None, message, event.start_mark)
+        return node
+
+    def _size(self, node) -> int:
+        """How many nodes ``node`` stands for once its aliases are expanded."""
+        if node not in self.sizes:
+            children = node.value if isinstance(node, yaml.SequenceNode) else []
+            if isinstance(node, yaml.MappingNode):
+                children = [child for pair in node.value for child in pair]
+            self.sizes[node] = 1 + sum(map(self._size, children))
+        return self.sizes[node]
+
+    def compose_mapping_node(self, anchor):
+        node, seen = super().compose_mapping_node(anchor), set()
+        for key, _ in node.value:  # a key merged in with << may be overridden
+            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                if (key.tag, key.value) in seen:
+                    message = f"found duplicate key {key.value!r}"
+                    raise ComposerError(None, None, message, key.start_mark)
+                seen.add((key.tag, key.value))
+        return node
+
+    def construct_document(self, node):
+        try:
+            return super().construct_document(node)
+        finally:  # a failed call would leave its cache and pending work behind
+            self.constructed_objects, self.recursive_objects = {}, {}
+            self.state_generators, self.deep_construct = [], False
+
+    def construct_object(self, node, deep=False):
+        try:  # of the safe constructors, int, float, bool and timestamp raise these
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError, AttributeError) as exc:
+            message = f"cannot construct {node.value!r}: {exc}"
+            raise ConstructorError(None, None, message, node.start_mark) from None
 
 
-def _loc(path: str, node) -> Location:
-    mark = node.start_mark
-    return Location(path, mark.line + 1, mark.column + 1)
+def _loc(path: str, mark) -> Location:
+    return Location(path, mark.line + 1, mark.column + 1) if mark else Location(path, 1, 1)
 
 
-class _DocWalker:
-    """Walks one composed YAML document, collecting located declarations."""
-
-    def __init__(self, path: str, diagnostics: list[Diagnostic]):
-        self.path = path
-        self.diagnostics = diagnostics
-
-    def error(self, node, message: str):
-        self.diagnostics.append(Diagnostic("error", message, _loc(self.path, node)))
-
-    def warning(self, node, message: str):
-        self.diagnostics.append(Diagnostic("warning", message, _loc(self.path, node)))
-
-    def mapping_items(self, node):
-        if not isinstance(node, yaml.MappingNode):
-            self.error(node, "expected a mapping")
-            return []
-        return node.value
-
-    def sequence_items(self, node):
-        if not isinstance(node, yaml.SequenceNode):
-            self.error(node, "expected a sequence")
-            return []
-        return node.value
+def yaml_error(path: str, exc: yaml.YAMLError) -> Diagnostic:
+    """The located error diagnostic for YAML text that could not be loaded."""
+    location = _loc(path, getattr(exc, "problem_mark", None))
+    return Diagnostic("error", f"invalid YAML: {exc}", location)
 
 
-@dataclass
-class _Decl:
-    """A parsed declaration plus where it came from."""
+class _Invalid(Exception):
+    """``(message, key)``: a declaration the model cannot take, and the key of
+    the field at fault, or None for the declaration as a whole."""
 
-    payload: object
-    location: Location
+
+def _entity(fields: dict) -> Entity:
+    kind, name = fields.get("kind"), fields.get("name")
+    if kind is None or name is None:
+        raise _Invalid("entity requires 'kind' and 'name'", None)
+    attributes = fields.get("attributes") or {}
+    if not isinstance(attributes, dict):
+        raise _Invalid("entity attributes must be a mapping", "attributes")
+    return Entity(kind=str(kind), name=str(name), attributes=attributes)
+
+
+def _link(fields: dict) -> Link:
+    kind, source, target = fields.get("kind"), fields.get("source"), fields.get("target")
+    if kind is None or source is None or target is None:
+        raise _Invalid("link requires 'kind', 'source' and 'target'", None)
+    weight = fields.get("weight", 1.0)
+    try:
+        weight = float(weight)
+    except (TypeError, ValueError, OverflowError):
+        raise _Invalid(f"link weight must be a number, got {weight!r}", "weight")
+    return Link(kind=str(kind), source=str(source), target=str(target), weight=weight)
+
+
+def _concern(fields: dict) -> Concern:
+    cid, view, interrogative = fields.get("id"), fields.get("view"), fields.get("interrogative")
+    if cid is None or view is None:
+        raise _Invalid("concern requires 'id' and 'view'", None)
+    try:
+        view = View(str(view))
+    except ValueError:
+        raise _Invalid(f"unknown view {view!r}", "view")
+    try:
+        interrogative = None if interrogative is None else Interrogative(str(interrogative))
+    except ValueError:
+        raise _Invalid(f"unknown interrogative {interrogative!r}", "interrogative")
+    try:
+        cell = ViewCell(view, interrogative)
+    except ModelError as exc:
+        raise _Invalid(str(exc), None)
+    entity_refs, records = fields.get("entity_refs") or [], fields.get("records") or []
+    if not isinstance(entity_refs, list):
+        raise _Invalid("entity_refs must be a sequence", "entity_refs")
+    if not isinstance(records, list):
+        raise _Invalid("records must be a sequence", "records")
+    return Concern(
+        id=str(cid),
+        cell=cell,
+        statement=str(fields.get("statement") or ""),
+        entity_refs=[str(r) for r in entity_refs],
+        records=records,
+    )
+
+
+_SECTIONS = {"entities": _entity, "concerns": _concern, "links": _link}
 
 
 def parse_repository(
@@ -117,173 +206,92 @@ def parse_repository(
     """
     diagnostics: list[Diagnostic] = []
     meta: dict = {}
-    entity_decls: list[_Decl] = []
-    link_decls: list[_Decl] = []
-    concern_decls: list[_Decl] = []
+    decls: dict[str, list] = {section: [] for section in _SECTIONS}  # [(item, location)]
+    constructor = YamlLoader("")  # builds each declaration, keeping nothing between them
+
+    def report(severity: str, path: str, node, message: str) -> None:
+        diagnostics.append(Diagnostic(severity, message, _loc(path, node.start_mark)))
+
+    def construct(path: str, node) -> Optional[dict]:
+        """The mapping one declaration holds, constructed once; None on error."""
+        try:
+            value = constructor.construct_document(node)
+        except yaml.YAMLError as exc:
+            diagnostics.append(yaml_error(path, exc))
+            return None
+        if not isinstance(value, dict):
+            report("error", path, node, "expected a mapping")
+            return None
+        return value
+
+    def read_section(path: str, section: str, sequence) -> None:
+        build = _SECTIONS[section]
+        for node in sequence.value:
+            fields = construct(path, node)
+            if fields is None:
+                continue
+            try:
+                decls[section].append((build(fields), _loc(path, node.start_mark)))
+            except _Invalid as exc:
+                message, key = exc.args
+                # Explicit keys follow merged ones, so the last match holds the value.
+                at = next((v for k, v in reversed(node.value) if k.value == key), node)
+                report("error", path, at, message)
 
     for doc in docs:
         try:
-            nodes = list(yaml.compose_all(doc.text))
+            roots = list(yaml.compose_all(doc.text, Loader=YamlLoader))
         except yaml.YAMLError as exc:
-            line, column = 1, 1
-            if getattr(exc, "problem_mark", None) is not None:
-                line = exc.problem_mark.line + 1
-                column = exc.problem_mark.column + 1
-            diagnostics.append(
-                Diagnostic("error", f"invalid YAML: {exc}", Location(doc.path, line, column))
-            )
+            diagnostics.append(yaml_error(doc.path, exc))
             continue
-        walker = _DocWalker(doc.path, diagnostics)
-        for node in nodes:
-            if node is None:
+        for root in roots:
+            if not isinstance(root, yaml.MappingNode):
+                report("error", doc.path, root, "expected a mapping")
                 continue
-            _collect(walker, node, meta, entity_decls, link_decls, concern_decls)
+            for key_node, value_node in root.value:
+                key = key_node.value  # a key that is not a scalar is named by its node type
+                key = key if isinstance(key_node, yaml.ScalarNode) else f"<{key_node.id}>"
+                if key == "meta":
+                    for mk, mv in (construct(doc.path, value_node) or {}).items():
+                        meta.setdefault(mk, mv)  # the first file's value wins
+                elif key not in _SECTIONS:
+                    report("warning", doc.path, key_node, f"unknown top-level key {key!r} ignored")
+                elif isinstance(value_node, yaml.SequenceNode):
+                    read_section(doc.path, key, value_node)
+                else:
+                    report("error", doc.path, value_node, "expected a sequence")
 
     repo = Repository(name=meta.get("name", "repository"), version=str(meta.get("version", "0")))
 
-    # Entities first, then concerns, then links: links may point at concerns.
-    for decl in sorted(entity_decls, key=lambda d: d.payload.id):
-        if _apply(repo.add_entity, decl, diagnostics):
-            for message in unknown_attributes(decl.payload):
-                diagnostics.append(Diagnostic("warning", message, decl.location))
-    for decl in sorted(concern_decls, key=lambda d: d.payload.id):
-        _apply(repo.add_concern, decl, diagnostics)
-    for decl in sorted(link_decls, key=lambda d: d.payload.id):
-        _apply(repo.add_link, decl, diagnostics)
+    def add(adder, item, location) -> bool:
+        try:
+            adder(item)
+            return True
+        except ModelError as exc:
+            diagnostics.append(Diagnostic("error", str(exc), location))
+            return False
+
+    # Entities, then concerns, then links, since links may point at concerns.
+    by_id = lambda decl: decl[0].id
+    for entity, location in sorted(decls["entities"], key=by_id):
+        if add(repo.add_entity, entity, location):
+            for message in unknown_attributes(entity):
+                diagnostics.append(Diagnostic("warning", message, location))
+    for concern, location in sorted(decls["concerns"], key=by_id):
+        add(repo.add_concern, concern, location)
+    for link, location in sorted(decls["links"], key=by_id):
+        add(repo.add_link, link, location)
 
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics
     return repo, diagnostics
 
 
-def _apply(adder, decl: _Decl, diagnostics: list[Diagnostic]) -> bool:
-    """Add one declaration; on a model error record it and return False."""
-    try:
-        adder(decl.payload)
-    except ModelError as exc:
-        diagnostics.append(Diagnostic("error", str(exc), decl.location))
-        return False
-    return True
+class _CanonicalDumper(yaml.SafeDumper):
+    """Writes a shared value as copies, never as an anchor and aliases."""
 
-
-def _collect(walker, root, meta, entity_decls, link_decls, concern_decls):
-    for key_node, value_node in walker.mapping_items(root):
-        key = _value(key_node)
-        if key == "meta":
-            for mk, mv in walker.mapping_items(value_node):
-                meta.setdefault(_value(mk), _value(mv))  # the first file's value wins
-        elif key == "entities":
-            for item in walker.sequence_items(value_node):
-                decl = _entity_decl(walker, item)
-                if decl is not None:
-                    entity_decls.append(decl)
-        elif key == "links":
-            for item in walker.sequence_items(value_node):
-                decl = _link_decl(walker, item)
-                if decl is not None:
-                    link_decls.append(decl)
-        elif key == "concerns":
-            for item in walker.sequence_items(value_node):
-                decl = _concern_decl(walker, item)
-                if decl is not None:
-                    concern_decls.append(decl)
-        else:
-            walker.warning(key_node, f"unknown top-level key {key!r} ignored")
-
-
-def _fields(walker, node) -> Optional[dict]:
-    """Mapping node -> {key: (value, value_node)}."""
-    if not isinstance(node, yaml.MappingNode):
-        walker.error(node, "expected a mapping")
-        return None
-    out = {}
-    for key_node, value_node in node.value:
-        out[_value(key_node)] = (_value(value_node), value_node)
-    return out
-
-
-def _entity_decl(walker, node) -> Optional[_Decl]:
-    fields_ = _fields(walker, node)
-    if fields_ is None:
-        return None
-    kind = fields_.get("kind", (None, node))[0]
-    name = fields_.get("name", (None, node))[0]
-    if kind is None or name is None:
-        walker.error(node, "entity requires 'kind' and 'name'")
-        return None
-    attributes = fields_.get("attributes", ({}, node))[0] or {}
-    if not isinstance(attributes, dict):
-        walker.error(fields_["attributes"][1], "entity attributes must be a mapping")
-        return None
-    entity = Entity(kind=str(kind), name=str(name), attributes=attributes)
-    return _Decl(entity, _loc(walker.path, node))
-
-
-def _link_decl(walker, node) -> Optional[_Decl]:
-    fields_ = _fields(walker, node)
-    if fields_ is None:
-        return None
-    kind = fields_.get("kind", (None, node))[0]
-    source = fields_.get("source", (None, node))[0]
-    target = fields_.get("target", (None, node))[0]
-    if kind is None or source is None or target is None:
-        walker.error(node, "link requires 'kind', 'source' and 'target'")
-        return None
-    weight = fields_.get("weight", (1.0, node))[0]
-    try:
-        weight = float(weight)
-    except (TypeError, ValueError):
-        walker.error(fields_["weight"][1], f"link weight must be a number, got {weight!r}")
-        return None
-    link = Link(kind=str(kind), source=str(source), target=str(target), weight=weight)
-    return _Decl(link, _loc(walker.path, node))
-
-
-def _concern_decl(walker, node) -> Optional[_Decl]:
-    fields_ = _fields(walker, node)
-    if fields_ is None:
-        return None
-    cid = fields_.get("id", (None, node))[0]
-    view_name = fields_.get("view", (None, node))[0]
-    if cid is None or view_name is None:
-        walker.error(node, "concern requires 'id' and 'view'")
-        return None
-    try:
-        view = View(str(view_name))
-    except ValueError:
-        walker.error(fields_["view"][1], f"unknown view {view_name!r}")
-        return None
-    interrogative = None
-    if "interrogative" in fields_:
-        raw, raw_node = fields_["interrogative"]
-        if raw is not None:
-            try:
-                interrogative = Interrogative(str(raw))
-            except ValueError:
-                walker.error(raw_node, f"unknown interrogative {raw!r}")
-                return None
-    try:
-        cell = ViewCell(view, interrogative)
-    except ModelError as exc:
-        walker.error(node, str(exc))
-        return None
-    statement = fields_.get("statement", ("", node))[0] or ""
-    entity_refs = fields_.get("entity_refs", ([], node))[0] or []
-    records = fields_.get("records", ([], node))[0] or []
-    if not isinstance(entity_refs, list):
-        walker.error(fields_["entity_refs"][1], "entity_refs must be a sequence")
-        return None
-    if not isinstance(records, list):
-        walker.error(fields_["records"][1], "records must be a sequence")
-        return None
-    concern = Concern(
-        id=str(cid),
-        cell=cell,
-        statement=str(statement),
-        entity_refs=[str(r) for r in entity_refs],
-        records=records,
-    )
-    return _Decl(concern, _loc(walker.path, node))
+    def ignore_aliases(self, data):
+        return True
 
 
 def serialize_repository(repo: Repository) -> str:
@@ -302,8 +310,9 @@ def serialize_repository(repo: Repository) -> str:
             _concern_data(repo.concerns[cid]) for cid in sorted(repo.concerns)
         ],
     }
-    return yaml.safe_dump(
-        data, sort_keys=True, allow_unicode=True, default_flow_style=False, width=100
+    return yaml.dump(
+        data, Dumper=_CanonicalDumper, sort_keys=True, allow_unicode=True,
+        default_flow_style=False, width=100,
     )
 
 

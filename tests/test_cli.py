@@ -135,6 +135,21 @@ class TestFmt:
         assert run("fmt", str(target), "--write").exit_code == 0
         assert target.read_bytes() == once
 
+    def test_alias_bomb_is_one_error(self, tmp_path):
+        # Six levels of ten aliases each would expand to a million values.
+        levels = ["a0: &a0 [" + ", ".join(["x"] * 10) + "]"] + [
+            f"a{i}: &a{i} [" + ", ".join([f"*a{i - 1}"] * 10) + "]" for i in range(1, 6)
+        ]
+        target = tmp_path / "bomb.ea.yaml"
+        target.write_text(
+            "entities:\n  - kind: microservice\n    name: cart\n    attributes:\n"
+            + "".join(f"      {level}\n" for level in levels)
+        )
+        result = run("fmt", str(target))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.count(": error: invalid YAML: ") == 1
+
 
 class TestIngestCli:
     def test_ingest_openapi_stdout(self):
@@ -150,6 +165,30 @@ class TestIngestCli:
         text = target.read_text()
         assert "deployment_target" in text
         assert "deployed_on" in text
+
+    def test_merge_error_exits_two_and_writes_nothing(self, tmp_path):
+        # A Service whose name is blank is an entity the model rejects.
+        manifest = tmp_path / "blank.k8s.yaml"
+        manifest.write_text("kind: Service\nmetadata: {name: ' '}\n")
+        target = tmp_path / "r.ea.yaml"
+        target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
+        before = target.read_bytes()
+        result = run("ingest", "k8s", str(manifest), "--repo", str(target), "--write")
+        assert result.exit_code == 2
+        assert "error: entity of kind 'deployment_target' has an empty name" in result.stderr
+        assert result.stdout == ""
+        assert target.read_bytes() == before
+
+    def test_cyclic_alias_is_one_error(self, tmp_path):
+        manifest = tmp_path / "cyclic.k8s.yaml"
+        manifest.write_text(
+            "kind: Service\nmetadata: {name: cart}\nspec:\n  selector: &s {app: cart, self: *s}\n"
+        )
+        result = run("ingest", "k8s", str(manifest))
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.count(": error: invalid YAML: ") == 1
+        assert "cyclic.k8s.yaml:4:" in result.stderr
 
     def test_read_only_without_write(self, tmp_path):
         target = tmp_path / "r.ea.yaml"

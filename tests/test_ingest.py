@@ -1,7 +1,7 @@
 import pytest
 
 from w6hea.ingest import ingest_k8s, ingest_openapi, merge_proposal
-from w6hea.model import Interrogative, View, ViewCell
+from w6hea.model import Interrogative, Repository, View, ViewCell
 from w6hea.repofmt import SourceDocument
 
 from conftest import fixture_path
@@ -304,3 +304,61 @@ def test_openapi_wrong_shaped_field_reads_as_absent(text, methods):
         e.name: [(m["path"], m["status_code"]) for m in e.attributes["methods"]]
         for e in proposal.entities
     } == methods
+
+
+# YAML that cannot be loaded is one located error, never a traceback.
+NESTED = "[" * 1000 + "]" * 1000  # past the composer's recursion limit
+UNLOADABLE = [
+    pytest.param(
+        ingest_openapi,
+        "openapi: 3.0.0\ninfo:\n  title: Shop\n  released: 2024-02-30\npaths: {}\n",
+        4,
+        id="openapi-invalid-date",
+    ),
+    pytest.param(
+        ingest_k8s,
+        "kind: Service\nmetadata:\n  name: cart\n  annotations:\n    released: 2024-02-30\n",
+        5,
+        id="k8s-invalid-date",
+    ),
+    pytest.param(ingest_openapi, f"openapi: 3.0.0\ninfo: {NESTED}\n", 2, id="openapi-deep-nesting"),
+    pytest.param(ingest_k8s, f"kind: Service\nspec: {NESTED}\n", 2, id="k8s-deep-nesting"),
+]
+
+
+@pytest.mark.parametrize("extract, text, line", UNLOADABLE)
+def test_unloadable_yaml_is_a_located_error(extract, text, line):
+    doc = SourceDocument("bad.yaml", text)
+    proposal, diagnostics = extract(doc) if extract is ingest_openapi else extract([doc])
+    assert [(d.severity, d.location.file, d.location.line) for d in diagnostics] == [
+        ("error", "bad.yaml", line)
+    ]
+    assert diagnostics[0].message.startswith("invalid YAML: ")
+    assert proposal.entities == [] and proposal.concerns == []
+
+
+@pytest.mark.parametrize(
+    "text, apis",
+    [
+        pytest.param(
+            "info: {title: Shop}\ntags: [{name: ' '}, {name: '--'}]\n"
+            "paths: {/a: {get: {tags: [' ']}}, /b: {get: {tags: ['--']}}}\n",
+            ["api.shop"],
+            id="blank-tags",
+        ),
+        pytest.param(
+            "info: {title: ' '}\npaths: {/a: {get: {}}, /b: {get: {}}}\n",
+            ["api.untitled-api"],
+            id="blank-title",
+        ),
+    ],
+)
+def test_blank_openapi_names_read_as_absent(text, apis):
+    proposal, diagnostics = ingest_openapi(SourceDocument("api.yaml", "openapi: 3.0.0\n" + text))
+    assert diagnostics == []
+    assert [e.id for e in proposal.entities] == apis
+    merged, merge_diagnostics = merge_proposal(Repository(), proposal)
+    assert merge_diagnostics == []
+    (concern,) = merged.concerns.values()
+    assert concern.entity_refs == apis
+    assert len(concern.records) == 2

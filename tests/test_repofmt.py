@@ -1,3 +1,10 @@
+import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
+
+from test_ingest_properties import PROPERTY_SETTINGS, yaml_values
+from test_ingest_properties import pytestmark as hypothesis_warning_filter
 from w6hea.model import Interrogative, View, ViewCell
 from w6hea.repofmt import SourceDocument, parse_repository, serialize_repository
 
@@ -162,3 +169,202 @@ def test_unknown_attribute_is_a_located_warning():
         "repo.ea.yaml:4:5: warning: entity 'microservice.cart': attribute "
         "'colour' is not in the 'microservice' vocabulary"
     ]
+
+
+ENTITY = "entities:\n  - kind: microservice\n    name: cart\n"
+
+# YAML the constructor cannot turn into values is a located error at the
+# expected line, never a traceback; a `<<` merge key expands to the expected
+# entities, and explicit keys override merged ones.
+YAML_VALUE_CASES = [
+    pytest.param(ENTITY + "    attributes: {released: 2024-02-30}\n", 4, id="invalid-date"),
+    pytest.param(
+        ENTITY + "    attributes: {released: !!timestamp 2020-99-99}\n", 4, id="timestamp-tag"
+    ),
+    pytest.param(ENTITY + "    attributes: {replicas: !!int x}\n", 4, id="int-tag"),
+    pytest.param("entities:\n  - kind: microservice\n    name: !foo x\n", 3, id="unknown-tag"),
+    pytest.param(ENTITY + "    ? [a]\n    : 1\n", 4, id="sequence-key"),
+    pytest.param("meta:\n  name: shop\n  ? [a]\n  : 1\n", 3, id="sequence-key-in-meta"),
+    pytest.param(
+        ENTITY + "    attributes: {? [a] : 1}\n", 4, id="sequence-key-in-attributes"
+    ),
+    pytest.param(
+        "entities:\n"
+        "  - &base {kind: microservice, name: cart, attributes: {category: system}}\n"
+        "  - <<: *base\n"
+        "    name: orders\n",
+        {
+            "microservice.cart": {"category": "system"},
+            "microservice.orders": {"category": "system"},
+        },
+        id="merge-key",
+    ),
+    pytest.param("entities: " + "[" * 3000 + "]" * 3000 + "\n", 1, id="deep-nesting"),
+    pytest.param(ENTITY + "    attributes: &a {self: *a}\n", 4, id="alias-cycle"),
+    pytest.param(
+        ENTITY
+        + "    attributes:\n      a0: &a0 [x, x, x, x, x, x, x, x, x, x]\n"
+        + "".join(f"      a{i}: &a{i} [{', '.join([f'*a{i - 1}'] * 10)}]\n" for i in range(1, 6)),
+        9,  # where the aliases pass 100,000 values
+        id="alias-bomb",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", YAML_VALUE_CASES)
+def test_unconstructable_yaml_is_a_located_error(text, expected):
+    repo, diagnostics = parse_text(text)
+    if isinstance(expected, dict):
+        assert diagnostics == []
+        assert {eid: e.attributes for eid, e in repo.entities.items()} == expected
+    else:
+        assert repo is None
+        assert [(d.severity, d.location.file, d.location.line) for d in diagnostics] == [
+            ("error", "repo.ea.yaml", expected)
+        ]
+        assert diagnostics[0].message.startswith("invalid YAML: ")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param(ENTITY + "    name: orders\n", 4, id="declaration"),
+        pytest.param("meta:\n  name: a\n  version: '1'\n  name: b\n", 4, id="meta"),
+        pytest.param(
+            ENTITY + "    attributes:\n      category: system\n      category: presentation\n",
+            6,
+            id="attributes",
+        ),
+        pytest.param("meta: {name: a}\n" + ENTITY + "meta: {name: b}\n", 5, id="top-level"),
+    ],
+)
+def test_duplicate_key_is_a_located_error(text, line):
+    repo, diagnostics = parse_text(text)
+    assert repo is None
+    assert [(d.severity, d.location.line) for d in diagnostics] == [("error", line)]
+    assert "duplicate key" in diagnostics[0].message
+
+
+def test_failed_declaration_leaves_no_constructor_state():
+    # The first declaration fails while a nested mapping of it is still
+    # pending; the second must not inherit that pending work.
+    text = (
+        "entities:\n"
+        "  - kind: microservice\n"
+        "    name: cart\n"
+        "    attributes: {p: {q: !!int x}, r: 2024-02-30}\n"
+        "  - kind: microservice\n"
+        "    name: orders\n"
+    )
+    repo, diagnostics = parse_text(text)
+    assert repo is None
+    assert [(d.severity, d.location.line) for d in diagnostics] == [("error", 4)]
+
+
+def test_entities_built_from_one_anchor_are_independent():
+    text = (
+        "entities:\n"
+        "  - {kind: microservice, name: cart, attributes: &t {category: system}}\n"
+        "  - {kind: microservice, name: orders, attributes: *t}\n"
+    )
+    repo, diagnostics = parse_text(text)
+    assert diagnostics == []
+    cart, orders = repo.entities["microservice.cart"], repo.entities["microservice.orders"]
+    assert cart.attributes == orders.attributes
+    assert cart.attributes is not orders.attributes
+
+
+def test_canonical_output_has_no_anchors():
+    aliased = (
+        "entities:\n"
+        "  - kind: microservice\n"
+        "    name: cart\n"
+        "    attributes: {tech_stack: &stack [python, kafka]}\n"
+        "  - kind: microservice\n"
+        "    name: orders\n"
+        "    attributes: {tech_stack: *stack}\n"
+        "  - kind: api\n"
+        "    name: orders\n"
+        "    attributes:\n"
+        "      methods:\n"
+        "        - &get {verb: get, design_tech: OpenAPI, status_code: 200}\n"
+        "        - *get\n"
+    )
+    alias_free = (
+        "entities:\n"
+        "  - kind: microservice\n"
+        "    name: cart\n"
+        "    attributes: {tech_stack: [python, kafka]}\n"
+        "  - kind: microservice\n"
+        "    name: orders\n"
+        "    attributes: {tech_stack: [python, kafka]}\n"
+        "  - kind: api\n"
+        "    name: orders\n"
+        "    attributes:\n"
+        "      methods:\n"
+        "        - {verb: get, design_tech: OpenAPI, status_code: 200}\n"
+        "        - {verb: get, design_tech: OpenAPI, status_code: 200}\n"
+    )
+    canonical = serialize_repository(parse_text(alias_free)[0])
+    assert serialize_repository(parse_text(aliased)[0]) == canonical
+    assert "&" not in canonical and "*" not in canonical
+
+
+# Flow-style YAML fragments: well-formed values, and text YAML cannot
+# construct, compose or even scan.
+RAW_VALUES = [
+    "2024-02-30",
+    "!!timestamp 2020-99-99",
+    "!!timestamp x",
+    "!!int x",
+    "!!float ''",
+    "!!bool x",
+    "!foo x",
+    "!!set x",
+    "{? [a] : 1}",
+    "&a [1]",
+    "*a",
+    "*missing",
+    "[",
+    "'",
+    "nan",
+    "1e999",
+]
+
+
+def flow(value) -> str:
+    return yaml.safe_dump(value, default_flow_style=True, width=float("inf")).removesuffix(
+        "\n...\n"
+    ).strip()
+
+
+fragments = st.sampled_from(RAW_VALUES) | yaml_values.map(flow)
+field_names = st.sampled_from(
+    ["kind", "name", "attributes", "source", "target", "weight", "id", "view"]
+    + ["interrogative", "statement", "entity_refs", "records", "<<", "[a]", "'x'"]
+)
+declarations = st.lists(st.tuples(field_names, fragments), max_size=5).map(
+    lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+)
+sections = st.sampled_from(["meta", "entities", "links", "concerns", "other", "[a]"])
+
+
+def render(section, value) -> str:
+    """One top-level key: a list becomes a block sequence, else a flow value."""
+    if isinstance(value, list):
+        return f"{section}:\n" + "".join(f"  - {item}\n" for item in value)
+    return f"{section}: {value}\n"
+
+
+repository_texts = st.lists(
+    st.tuples(sections, st.lists(declarations | fragments, max_size=3) | declarations | fragments),
+    max_size=4,
+).map(lambda parts: "".join(render(*part) for part in parts))
+
+
+@hypothesis_warning_filter
+@PROPERTY_SETTINGS
+@given(repository_texts)
+def test_parse_repository_never_raises(text):
+    repo, diagnostics = parse_text(text)
+    assert (repo is None) == any(d.severity == "error" for d in diagnostics)
