@@ -136,15 +136,6 @@ class ValueGraph:
     def nodes(self) -> list[str]:
         return sorted(self.node_kinds)
 
-    def neighbors(self, node: str) -> list[tuple[str, float]]:
-        out = []
-        for (a, b), w in self.edge_weights.items():
-            if a == node:
-                out.append((b, w))
-            elif b == node:
-                out.append((a, w))
-        return out
-
 
 def build_value_graph(repo: Repository) -> ValueGraph:
     g = ValueGraph()
@@ -233,15 +224,17 @@ def retirement_candidates(
 
 def reuse_counts(repo: Repository) -> dict[str, int]:
     """Distinct business functions/organizations each service is linked to."""
+    automated: dict[str, list[str]] = {}  # source -> its automates targets
+    for l in repo.links_of_kind("automates"):
+        automated.setdefault(l.source, []).append(l.target)
     reach: dict[str, set[str]] = {}
     for l in repo.links.values():
         if l.kind in ("automates", "serves"):
             reach.setdefault(l.source, set()).add(l.target)
         elif l.kind == "exposes":
             # an API exposing a service inherits that service's functions
-            for inner in repo.links_of_kind("automates"):
-                if inner.source == l.target:
-                    reach.setdefault(l.source, set()).add(inner.target)
+            for target in automated.get(l.target, []):
+                reach.setdefault(l.source, set()).add(target)
     return {eid: len(targets) for eid, targets in reach.items()}
 
 
@@ -268,7 +261,10 @@ def cluster_graph(g: ValueGraph, seed: int = 0) -> list[set[str]]:
     if not nodes:
         return []
     labels = {node: idx for idx, node in enumerate(nodes)}
-    neighbor_map = {node: g.neighbors(node) for node in nodes}
+    neighbor_map: dict[str, list[tuple[str, float]]] = {node: [] for node in nodes}
+    for (a, b), weight in g.edge_weights.items():  # each list keeps edge order
+        neighbor_map[a].append((b, weight))
+        neighbor_map[b].append((a, weight))
     rng = random.Random(seed)
 
     for _ in range(100):

@@ -161,8 +161,9 @@ def ingest_k8s(
     to the like-named target.  When a workload's ``app`` label matches a
     microservice in ``repo``, a deployed_on link is proposed.  A concern
     holding the pod/network table is proposed at the builder/where cell.
-    A manifest without a string ``metadata.name``, or a workload whose
-    ``spec.replicas`` is set but not an integer, is skipped with a warning.
+    A manifest without a string ``metadata.name`` holding an ASCII letter or
+    digit, or a workload whose ``spec.replicas`` is set but not an integer, is
+    skipped with a warning.
     """
     proposal = IngestProposal(source=";".join(d.path for d in docs))
     diags: list[Diagnostic] = []
@@ -186,7 +187,7 @@ def ingest_k8s(
                 continue
             metadata = _mapping(manifest.get("metadata"))
             name = metadata.get("name")
-            if not isinstance(name, str) or not name:
+            if not isinstance(name, str) or not slugify(name):
                 _warn(diags, doc.path, f"{kind} without metadata.name skipped")
                 continue
             spec = _mapping(manifest.get("spec"))

@@ -51,6 +51,10 @@ class InvalidAttribute(ModelError):
     """A known attribute key carries a value outside its vocabulary."""
 
 
+class NestedTooDeep(ModelError):
+    """Attributes or records nest more collections than a repository file holds."""
+
+
 class Interrogative(str, Enum):
     WHO = "who"
     WHAT = "what"
@@ -335,6 +339,24 @@ LINK_SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+# Collections an entity's attributes or a concern's records may nest, themselves
+# included.  A repository file holds both three levels down, so a repository
+# the model accepts is always written within the file format's 100 levels.
+FIELD_NESTING_LIMIT = 97
+
+
+def nesting(value) -> int:
+    """How many collections deep ``value`` nests, itself included (0 for a scalar),
+    counted up to one past ``FIELD_NESTING_LIMIT`` (a list holding itself stops there)."""
+    depth, level = 0, [value]
+    while depth <= FIELD_NESTING_LIMIT and (
+        level := [v for v in level if isinstance(v, (dict, list, tuple, set))]
+    ):
+        depth += 1
+        level = [c for v in level for c in ((*v, *v.values()) if isinstance(v, dict) else v)]
+    return depth
+
+
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
@@ -417,8 +439,12 @@ class Repository:
         """Raise the ModelError ``add_entity`` would, short of a duplicate id."""
         if e.kind not in ENTITY_KINDS:
             raise KindMismatch(f"unknown entity kind {e.kind!r}")
-        if not e.name or not e.name.strip():
+        if not slugify(e.name):  # a name with no ASCII letter or digit has an empty id
             raise EmptyName(f"entity of kind {e.kind!r} has an empty name")
+        if nesting(e.attributes) > FIELD_NESTING_LIMIT:
+            raise NestedTooDeep(
+                f"entity {e.id!r}: attributes nest more than {FIELD_NESTING_LIMIT} deep"
+            )
         for key, value in e.attributes.items():
             allowed = ATTRIBUTE_ENUMS.get((e.kind, key))
             if allowed is not None and value is not None and value not in allowed:
@@ -477,6 +503,10 @@ class Repository:
             raise InvalidCell(f"concern {c.id!r} has no valid cell")
         if not c.id or not c.id.strip():
             raise EmptyName("concern id must be non-empty")
+        if nesting(c.records) > FIELD_NESTING_LIMIT:
+            raise NestedTooDeep(
+                f"concern {c.id!r}: records nest more than {FIELD_NESTING_LIMIT} deep"
+            )
         for ref in c.entity_refs:
             if ref not in self.entities:
                 raise DanglingReference(

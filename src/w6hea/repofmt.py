@@ -14,8 +14,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import yaml
-from yaml.composer import ComposerError
-from yaml.constructor import ConstructorError
+from yaml.composer import Composer, ComposerError
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.parser import Parser
+from yaml.reader import Reader, ReaderError
+from yaml.resolver import Resolver
+from yaml.scanner import Scanner
 
 from .model import (
     Concern,
@@ -62,20 +66,49 @@ class SourceDocument:
 
 
 _ALIAS_LIMIT = 100_000  # values aliases may add to one document once expanded
+_NESTING_LIMIT = 100  # collections one document may nest, the top-level one included
+
+# libyaml scans and parses; the pure-Python classes are the fallback where
+# PyYAML was built without it.  Writing stays on PyYAML's Python emitter.
+if yaml.__with_libyaml__:
+    from yaml.cyaml import CParser as _Parser
+else:
+
+    class _Parser(Reader, Scanner, Parser):
+        def __init__(self, stream):
+            Reader.__init__(self, stream)
+            Scanner.__init__(self)
+            Parser.__init__(self)
 
 
-class YamlLoader(yaml.SafeLoader):
-    """``SafeLoader`` whose every failure on YAML text is a located
+class YamlLoader(Composer, _Parser, SafeConstructor, Resolver):
+    """A safe loader whose every failure on YAML text is a located
     ``yaml.YAMLError`` and whose ``construct_document`` keeps no state between
-    calls.  It also rejects a key written twice in one mapping, an alias inside
-    its own anchor, and aliases that expand to more than ``_ALIAS_LIMIT`` values."""
+    calls.  PyYAML's Python composer sits on the parser, so that it can reject
+    nesting deeper than ``_NESTING_LIMIT``, a key written twice in one mapping,
+    an alias inside its own anchor, and aliases that expand to more than
+    ``_ALIAS_LIMIT`` values."""
+
+    def __init__(self, stream):
+        try:
+            _Parser.__init__(self, stream)
+        except UnicodeEncodeError as exc:  # libyaml reads UTF-8, which has no lone surrogate
+            character, reason = ord(stream[exc.start]), "special characters are not allowed"
+            raise ReaderError("<unicode string>", exc.start, character, "unicode", reason) from None
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
 
     def compose_document(self):
-        self.expanded, self.sizes = 0, {}  # values aliases added; aliased node -> size
-        try:
-            return super().compose_document()
-        except RecursionError:
-            raise ComposerError(None, None, "nesting too deep", self.get_mark()) from None
+        # collections open; values aliases added; aliased node -> expanded size
+        self.depth, self.expanded, self.sizes = 0, 0, {}
+        return super().compose_document()
+
+    def _nest(self) -> None:
+        """Enter a collection whose start event is next."""
+        self.depth += 1
+        if self.depth > _NESTING_LIMIT:
+            raise ComposerError(None, None, "nesting too deep", self.peek_event().start_mark)
 
     def compose_node(self, parent, index):
         if not (self.anchors and self.check_event(yaml.AliasEvent)):  # no anchor, no alias
@@ -100,8 +133,16 @@ class YamlLoader(yaml.SafeLoader):
             self.sizes[node] = 1 + sum(map(self._size, children))
         return self.sizes[node]
 
+    def compose_sequence_node(self, anchor):
+        self._nest()
+        node = super().compose_sequence_node(anchor)
+        self.depth -= 1
+        return node
+
     def compose_mapping_node(self, anchor):
+        self._nest()
         node, seen = super().compose_mapping_node(anchor), set()
+        self.depth -= 1
         for key, _ in node.value:  # a key merged in with << may be overridden
             if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
                 if (key.tag, key.value) in seen:
@@ -261,7 +302,8 @@ def parse_repository(
                 else:
                     report("error", doc.path, value_node, "expected a sequence")
 
-    repo = Repository(name=meta.get("name", "repository"), version=str(meta.get("version", "0")))
+    name, version = meta.get("name", "repository"), meta.get("version", "0")
+    repo = Repository(name=str(name), version=str(version))
 
     def add(adder, item, location) -> bool:
         try:
@@ -288,10 +330,18 @@ def parse_repository(
 
 
 class _CanonicalDumper(yaml.SafeDumper):
-    """Writes a shared value as copies, never as an anchor and aliases."""
+    """Writes a shared value as copies, never as an anchor and aliases, and a
+    string holding U+0085 double-quoted, where it is escaped as ``\\N``."""
 
     def ignore_aliases(self, data):
         return True
+
+    def analyze_scalar(self, scalar):
+        analysis = super().analyze_scalar(scalar)
+        if "\x85" in scalar:  # written raw, it is a line break that reads back as a space
+            analysis.allow_flow_plain = analysis.allow_block_plain = False
+            analysis.allow_single_quoted = analysis.allow_block = False
+        return analysis
 
 
 def serialize_repository(repo: Repository) -> str:

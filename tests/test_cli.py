@@ -4,9 +4,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from w6hea import model
 from w6hea.cli import main
 
 from conftest import fixture_path
+from test_repofmt import NESTING_LIMIT
 
 COMPLIANT = str(fixture_path("compliant.ea.yaml"))
 VIOLATIONS = str(fixture_path("violations.ea.yaml"))
@@ -166,16 +168,18 @@ class TestIngestCli:
         assert "deployment_target" in text
         assert "deployed_on" in text
 
-    def test_merge_error_exits_two_and_writes_nothing(self, tmp_path):
-        # A Service whose name is blank is an entity the model rejects.
-        manifest = tmp_path / "blank.k8s.yaml"
-        manifest.write_text("kind: Service\nmetadata: {name: ' '}\n")
+    def test_merge_error_exits_two_and_writes_nothing(self, tmp_path, monkeypatch):
+        # No manifest makes an entity the model rejects, so the model gets a
+        # vocabulary for deployment namespaces that this manifest is outside of.
+        monkeypatch.setitem(model.ATTRIBUTE_ENUMS, ("deployment_target", "namespace"), ("prod",))
+        manifest = tmp_path / "dev.k8s.yaml"
+        manifest.write_text("kind: Deployment\nmetadata: {name: cart, namespace: dev}\n")
         target = tmp_path / "r.ea.yaml"
         target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
         before = target.read_bytes()
         result = run("ingest", "k8s", str(manifest), "--repo", str(target), "--write")
         assert result.exit_code == 2
-        assert "error: entity of kind 'deployment_target' has an empty name" in result.stderr
+        assert "error: entity 'deployment_target.cart': namespace must be one of" in result.stderr
         assert result.stdout == ""
         assert target.read_bytes() == before
 
@@ -220,3 +224,83 @@ def test_no_color_env_disables_styling():
     assert "\x1b[31mERROR\x1b[0m" in styled.stdout
     assert "\x1b[" not in plain.stdout
     assert plain.stdout == run("validate", VIOLATIONS).stdout
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-bound", "past-bound"])
+def test_nesting_bound_in_fmt(tmp_path, past):
+    path = tmp_path / "deep.ea.yaml"
+    # Above the lists: the top-level mapping, entities, the entity, attributes.
+    lists = NESTING_LIMIT + past - 4
+    path.write_text(
+        "entities:\n  - kind: microservice\n    name: cart\n"
+        f"    attributes: {{tech_stack: {'[' * lists + ']' * lists}}}\n"
+    )
+    result = run("fmt", str(path))
+    if past:
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.count(": error: invalid YAML: ") == 1
+        assert result.stderr.startswith(f"{path}:4:126: error: invalid YAML: nesting too deep")
+    else:
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert "- - - -" in result.stdout
+
+
+def k8s_selector(tmp_path, lists: int) -> Path:
+    manifest = tmp_path / "deep.k8s.yaml"
+    nested = "[" * lists + "]" * lists
+    manifest.write_text(
+        f"kind: Service\nmetadata: {{name: cart}}\nspec:\n  selector: {{app: {nested}}}\n"
+    )
+    return manifest
+
+
+def test_nesting_past_the_bound_in_ingest(tmp_path):
+    # Above the lists: the manifest, spec, the selector.
+    manifest = k8s_selector(tmp_path, NESTING_LIMIT + 1 - 3)
+    result = run("ingest", "k8s", str(manifest))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.count(": error: invalid YAML: ") == 1
+    assert result.stderr.startswith(f"{manifest}:4:116: error: invalid YAML: nesting too deep")
+
+
+# In the repository a selector sits two levels deeper than in its manifest:
+# the top-level mapping, entities, the entity, attributes and the selector are
+# above its lists.  The deepest selector that can be written back is read back.
+@pytest.mark.parametrize("lists", [NESTING_LIMIT - 5, NESTING_LIMIT - 4])
+def test_ingest_writes_only_what_reads_back(tmp_path, lists):
+    manifest = k8s_selector(tmp_path, lists)
+    target = tmp_path / "r.ea.yaml"
+    target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
+    before = target.read_bytes()
+    result = run("ingest", "k8s", str(manifest), "--repo", str(target), "--write")
+    if lists == NESTING_LIMIT - 5:
+        assert result.exit_code == 0
+        assert run("fmt", str(target)).exit_code == 0
+        assert "- - - -" in target.read_text(encoding="utf-8")
+    else:
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert (
+            "error: entity 'deployment_target.cart': attributes nest more than 97 deep"
+            in result.stderr
+        )
+        assert target.read_bytes() == before
+
+
+@pytest.mark.parametrize("name", ["'--'", "'²'", "' '"])
+def test_name_with_no_letter_or_digit(tmp_path, name):
+    repo = tmp_path / "r.ea.yaml"
+    repo.write_text(
+        f"entities:\n  - kind: microservice\n    name: {name}\n"
+        f"  - kind: microservice\n    name: {name}\n"
+    )
+    result = run("fmt", str(repo))
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"{repo}:{line}:5: error: entity of kind 'microservice' has an empty name"
+        for line in (2, 4)
+    ]
+    manifest = tmp_path / "svc.k8s.yaml"
+    manifest.write_text(f"kind: Service\nmetadata: {{name: {name}}}\n")
+    result = run("ingest", "k8s", str(manifest))
+    assert result.exit_code == 0
+    assert result.stderr == f"{manifest}:1:1: warning: Service without metadata.name skipped\n"

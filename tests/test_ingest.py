@@ -236,6 +236,24 @@ K8S_MALFORMED = [
         id="int-name",
     ),
     pytest.param(
+        "kind: Service\nmetadata: {name: '--'}\n",
+        "Service without metadata.name skipped",
+        {},
+        id="punctuation-name",
+    ),
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: ' '}\n",
+        "Deployment without metadata.name skipped",
+        {},
+        id="blank-name",
+    ),
+    pytest.param(
+        "kind: Namespace\nmetadata: {name: '²'}\n",
+        "Namespace without metadata.name skipped",
+        {},
+        id="superscript-name",
+    ),
+    pytest.param(
         "kind: Deployment\nmetadata: [cart]\n",
         "Deployment without metadata.name skipped",
         {},
@@ -323,6 +341,12 @@ UNLOADABLE = [
     ),
     pytest.param(ingest_openapi, f"openapi: 3.0.0\ninfo: {NESTED}\n", 2, id="openapi-deep-nesting"),
     pytest.param(ingest_k8s, f"kind: Service\nspec: {NESTED}\n", 2, id="k8s-deep-nesting"),
+    pytest.param(
+        ingest_openapi, "openapi: 3.0.0\ninfo: {title: \ud800}\n", 1, id="openapi-lone-surrogate"
+    ),
+    pytest.param(
+        ingest_k8s, "kind: Service\nmetadata: {name: \ud800}\n", 1, id="k8s-lone-surrogate"
+    ),
 ]
 
 

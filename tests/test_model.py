@@ -5,6 +5,7 @@ from w6hea.model import (
     DanglingReference,
     DuplicateEntity,
     DuplicateLink,
+    FIELD_NESTING_LIMIT,
     EmptyName,
     Entity,
     Interrogative,
@@ -12,6 +13,7 @@ from w6hea.model import (
     KindMismatch,
     Link,
     NegativeWeight,
+    NestedTooDeep,
     PrecedenceGraph,
     Repository,
     View,
@@ -123,6 +125,32 @@ class TestRepositoryMutation:
     def test_empty_name(self):
         with pytest.raises(EmptyName):
             Repository().add_entity(Entity("api", ""))
+
+    @pytest.mark.parametrize("name", ["--", "²", " - "])
+    def test_name_with_no_letter_or_digit_is_empty(self, name):
+        repo = Repository()
+        with pytest.raises(EmptyName):
+            repo.add_entity(Entity("api", name))
+        assert repo.entities == {}
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["at-bound", "past-bound"])
+    def test_attributes_and_records_nest_within_the_field_bound(self, past):
+        def lists(depth):
+            return [] if depth == 1 else [lists(depth - 1)]
+
+        # The attributes mapping, and the records list with its record, count.
+        entity = Entity("api", "orders", {"methods": lists(FIELD_NESTING_LIMIT - 1 + past)})
+        records = [{"deep": lists(FIELD_NESTING_LIMIT - 2 + past)}]
+        concern = Concern("deep", ViewCell(View.DESIGNER, I.HOW), records=records)
+        repo = Repository()
+        if past:
+            with pytest.raises(NestedTooDeep, match="attributes nest more than 97 deep"):
+                repo.add_entity(entity)
+            with pytest.raises(NestedTooDeep, match="records nest more than 97 deep"):
+                repo.add_concern(concern)
+        else:
+            repo.add_entity(entity)
+            repo.add_concern(concern)
 
     def test_unknown_attribute_warns(self):
         repo = Repository()

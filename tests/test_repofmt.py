@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from test_ingest_properties import PROPERTY_SETTINGS, yaml_values
 from test_ingest_properties import pytestmark as hypothesis_warning_filter
-from w6hea.model import Interrogative, View, ViewCell
+from w6hea.model import Entity, Interrogative, Repository, View, ViewCell
 from w6hea.repofmt import SourceDocument, parse_repository, serialize_repository
 
 
@@ -201,6 +201,7 @@ YAML_VALUE_CASES = [
     ),
     pytest.param("entities: " + "[" * 3000 + "]" * 3000 + "\n", 1, id="deep-nesting"),
     pytest.param(ENTITY + "    attributes: &a {self: *a}\n", 4, id="alias-cycle"),
+    pytest.param(ENTITY + '    attributes: {note: "\ud800"}\n', 1, id="lone-surrogate"),
     pytest.param(
         ENTITY
         + "    attributes:\n      a0: &a0 [x, x, x, x, x, x, x, x, x, x]\n"
@@ -368,3 +369,83 @@ repository_texts = st.lists(
 def test_parse_repository_never_raises(text):
     repo, diagnostics = parse_text(text)
     assert (repo is None) == any(d.severity == "error" for d in diagnostics)
+
+
+NESTING_LIMIT = 100  # collections one document may nest, as docs/format.md says
+
+
+def nested_entity(depth: int) -> str:
+    """One entity whose attributes hold lists nested so deep that the
+    document's deepest collection is at ``depth`` (the top-level mapping is 1)."""
+    lists = "[" * (depth - 4) + "]" * (depth - 4)
+    return f"entities:\n  - kind: microservice\n    name: cart\n    attributes: {{tech_stack: {lists}}}\n"
+
+
+def at_stack_depth(frames: int, call):
+    """``call()`` made ``frames`` stack frames below the caller."""
+    return call() if frames == 0 else at_stack_depth(frames - 1, call)
+
+
+@pytest.mark.parametrize("depth", [NESTING_LIMIT, NESTING_LIMIT + 1, 200])
+def test_nesting_verdict_does_not_depend_on_the_call_stack(depth):
+    def verdict():
+        repo, diagnostics = parse_text(nested_entity(depth))
+        return repo is None, [str(d) for d in diagnostics]
+
+    assert at_stack_depth(400, verdict) == verdict()
+
+
+def test_value_at_the_nesting_bound_round_trips_deep_in_the_stack():
+    def round_trip():
+        repo, diagnostics = parse_text(nested_entity(NESTING_LIMIT))
+        assert diagnostics == []
+        text = serialize_repository(repo)
+        assert parse_text(text) == (repo, [])
+        return text
+
+    assert at_stack_depth(400, round_trip) == round_trip()
+
+
+def test_one_level_past_the_nesting_bound_is_a_located_error():
+    repo, diagnostics = parse_text(nested_entity(NESTING_LIMIT + 1))
+    assert repo is None
+    # "    attributes: {tech_stack: " is 29 characters; the 97th list opens level 101.
+    assert [(d.severity, str(d.location)) for d in diagnostics] == [
+        ("error", "repo.ea.yaml:4:126")
+    ]
+    assert diagnostics[0].message.startswith("invalid YAML: nesting too deep")
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["at-bound", "past-bound"])
+def test_alias_that_would_be_written_past_the_nesting_bound_is_a_located_error(past):
+    # The anchored lists sit one level down; under attributes they sit four.
+    lists = NESTING_LIMIT - 4 + past
+    anchor = "x: &deep " + "[" * lists + "]" * lists + "\n"
+    text = anchor + ENTITY + "    attributes: {tech_stack: *deep}\n"
+    repo, diagnostics = parse_text(text)
+    warning = "repo.ea.yaml:1:1: warning: unknown top-level key 'x' ignored"
+    if past:
+        assert repo is None
+        assert [str(d) for d in diagnostics] == [
+            warning,
+            "repo.ea.yaml:3:5: error: "
+            "entity 'microservice.cart': attributes nest more than 97 deep",
+        ]
+    else:
+        assert [str(d) for d in diagnostics] == [warning]
+        assert parse_text(serialize_repository(repo)) == (repo, [])
+
+
+def test_meta_name_is_text_and_reads_back():
+    lists = NESTING_LIMIT - 1  # one level down; the name itself would be two
+    repo, _ = parse_text("x: &deep " + "[" * lists + "]" * lists + "\nmeta: {name: *deep}\n")
+    assert repo.name == "[" * lists + "]" * lists
+    assert parse_text(serialize_repository(repo)) == (repo, [])
+
+
+def test_next_line_character_round_trips():
+    # U+0085 is a YAML line break: written raw inside quotes it reads back as a space.
+    repo = Repository(name="shop\x85", version="1")
+    repo.add_entity(Entity("microservice", "cart", {"tech_stack": ["a\x85b", "\x85"]}))
+    text = serialize_repository(repo)
+    assert parse_text(text) == (repo, [])
