@@ -2,26 +2,29 @@
 
 Exit codes: 0 on success, 1 when error-severity findings are reported,
 2 on parse or usage failure.  Human-readable output goes to stdout,
-diagnostics to stderr.
+diagnostics to stderr.  Each command imports the layers it uses in its body,
+so a command pays only for the code it runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
 
-import click
-
-from . import analysis, ingest, report, validation
 from .model import Repository, View
-from .repofmt import SourceDocument, parse_repository, serialize_repository
+from .repofmt import SourceDocument, parse_repository, serialize_repository, undecodable
 
 REPO_PATTERNS = ("*.ea.yaml", "*.ea.json")
 CONFIG_FILENAME = ".w6hea.toml"
 
 
-def discover_files(paths: tuple[str, ...]) -> list[Path]:
+class UsageError(Exception):
+    """A bad invocation: reported under the command's usage line, exit 2."""
+
+
+def discover_files(paths: list[str]) -> list[Path]:
     """Expand positional paths: files as given, directories searched
     recursively for repository files."""
     found: list[Path] = []
@@ -35,30 +38,43 @@ def discover_files(paths: tuple[str, ...]) -> list[Path]:
     return found
 
 
-def _read_docs(paths: tuple[str, ...]) -> list[SourceDocument]:
-    files = discover_files(paths)
-    if not files:
-        raise click.UsageError("no repository files found")
-    docs = []
-    for f in files:
-        try:
-            docs.append(SourceDocument.read(f))
-        except OSError as exc:
-            raise click.UsageError(f"cannot read {f}: {exc}")
-    return docs
+def _read(path) -> SourceDocument:
+    """Read one input file; one that is not UTF-8 is a located error."""
+    try:
+        return SourceDocument.read(path)
+    except UnicodeDecodeError as exc:
+        _report([undecodable(path, exc)])
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
+
+
+def _emit(text: str, path=None) -> None:
+    """Print ``text``, or write it to ``path`` and say so."""
+    if path is None:
+        print(text, end="")
+        return
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}")
+    print(f"wrote {path}")
 
 
 def _report(diagnostics) -> None:
-    """Echo diagnostics to stderr; exit 2 if any of them is an error."""
+    """Print diagnostics to stderr; exit 2 if any of them is an error."""
     for d in diagnostics:
-        click.echo(str(d), err=True)
+        print(d, file=sys.stderr)
     if any(d.severity == "error" for d in diagnostics):
         sys.exit(2)
 
 
-def _load_repo(paths: tuple[str, ...]) -> Repository:
+def _load_repo(paths: list[str]) -> Repository:
     """Parse a repository or exit 2 with diagnostics on stderr."""
-    repo, diagnostics = parse_repository(_read_docs(paths))
+    files = discover_files(paths)
+    if not files:
+        raise UsageError("no repository files found")
+    repo, diagnostics = parse_repository([_read(f) for f in files])
     _report(diagnostics)  # the repository is None exactly when one is an error
     return repo
 
@@ -70,7 +86,7 @@ def _load_config(path: str | None) -> dict:
     for candidate in candidates:
         if not candidate.is_file():
             continue
-        for line in candidate.read_text(encoding="utf-8").splitlines():
+        for line in _read(candidate).text.splitlines():
             line = line.split("#", 1)[0].strip()
             if not line or line.startswith("["):
                 continue
@@ -89,12 +105,12 @@ def _parse_weights(spec: str | None) -> dict[str, float]:
         if not pair:
             continue
         if "=" not in pair:
-            raise click.UsageError(f"weights must be view=value pairs, got {pair!r}")
+            raise UsageError(f"weights must be view=value pairs, got {pair!r}")
         key, _, value = pair.partition("=")
         try:
             weights[key.strip()] = float(value)
         except ValueError:
-            raise click.UsageError(f"weight for {key.strip()!r} is not a number")
+            raise UsageError(f"weight for {key.strip()!r} is not a number")
     return weights
 
 
@@ -103,212 +119,193 @@ def _config_number(config: dict, key: str, convert, default):
     try:
         return convert(config.get(key, default))
     except ValueError:
-        raise click.UsageError(
-            f"config value {key} = {config[key]!r} is not a valid {convert.__name__}"
-        )
+        raise UsageError(f"config value {key} = {config[key]!r} is not a valid {convert.__name__}")
 
 
-@click.group()
-@click.option("--config", "config_path", default=None, help="Config file with defaults.")
-@click.pass_context
-def main(ctx, config_path):
-    """Architecture-as-code toolkit for viewpoint-driven microservice models."""
-    ctx.ensure_object(dict)
-    ctx.obj["config"] = _load_config(config_path)
+def _existing_file(raw: str) -> str:
+    if not Path(raw).exists() or Path(raw).is_dir():
+        problem = "is a directory" if Path(raw).is_dir() else "does not exist"
+        raise argparse.ArgumentTypeError(f"File {raw!r} {problem}.")
+    return raw
 
 
-@main.command()
-@click.argument("paths", nargs=-1, required=True)
-@click.pass_context
-def validate(ctx, paths):
+def validate(args) -> None:
     """Run the structural rule catalog; exit 1 on error findings."""
-    repo = _load_repo(paths)
-    findings = validation.validate(repo)
-    # click strips the styling itself when stdout is not a terminal.
-    use_color = False if os.environ.get("EA_NO_COLOR") else None
-    has_errors = False
+    from . import validation
+
+    findings = validation.validate(_load_repo(args.paths))
+    colors = {"error": 31, "warning": 33, "info": 36}  # ANSI red, yellow, cyan
+    if not (sys.stdout and sys.stdout.isatty()) or os.environ.get("EA_NO_COLOR"):
+        colors = {}
     for f in findings:
-        fg = {"error": "red", "warning": "yellow", "info": "cyan"}.get(f.severity)
-        click.echo(
-            f"{click.style(f.severity.upper(), fg=fg)} {f.rule_id} {f.subject}: {f.message}",
-            color=use_color,
-        )
-        has_errors = has_errors or f.severity == "error"
-    sys.exit(1 if has_errors else 0)
+        label = f.severity.upper()
+        if f.severity in colors:
+            label = f"\x1b[{colors[f.severity]}m{label}\x1b[0m"
+        print(f"{label} {f.rule_id} {f.subject}: {f.message}")
+    sys.exit(1 if any(f.severity == "error" for f in findings) else 0)
 
 
-@main.command()
-@click.argument("paths", nargs=-1, required=True)
-@click.option("--out", "out_dir", default=None, help="Write matrix.md here instead of stdout.")
-def matrix(paths, out_dir):
+def matrix(args) -> None:
     """Render the 29-cell coverage matrix as Markdown."""
-    repo = _load_repo(paths)
-    text = report.render_matrix(analysis.coverage_matrix(repo))
-    _emit(text, out_dir, "matrix.md")
+    from . import analysis, report
+
+    repo = _load_repo(args.paths)
+    out = None if args.out is None else Path(args.out) / "matrix.md"
+    _emit(report.render_matrix(analysis.coverage_matrix(repo)), out)
 
 
-@main.command()
-@click.argument("paths", nargs=-1, required=True)
-@click.option("--view", "view_name", default=None, type=click.Choice([v.value for v in View]))
-def elicit(paths, view_name):
+def elicit(args) -> None:
     """Print the ordered elicitation prompts, marking answered cells."""
-    repo = _load_repo(paths)
-    view = View(view_name) if view_name else None
-    plan = analysis.elicitation_plan(repo, view)
-    for prompt in plan.prompts:
+    from . import analysis
+
+    repo = _load_repo(args.paths)
+    view = View(args.view) if args.view else None
+    for prompt in analysis.elicitation_plan(repo, view).prompts:
         cell = prompt.view.value
         if prompt.interrogative is not None:
             cell += f"/{prompt.interrogative.value}"
         marker = "x" if prompt.status == "answered" else " "
-        click.echo(f"[{marker}] {cell}: {prompt.question}")
+        print(f"[{marker}] {cell}: {prompt.question}")
 
 
-@main.group(name="ingest")
-def ingest_group():
-    """Extract model elements from external documents."""
+def ingest_documents(args) -> None:
+    """Extract model elements from external documents.
 
+    ``openapi`` reads an OpenAPI 3.x document, ``k8s`` Kubernetes manifests
+    (multi-document YAML)."""
+    from . import ingest
 
-def _run_merge(proposal, diags, repo_paths, merge_strategy, write):
-    _report(diags)
-    strategy = "overwrite_attributes" if merge_strategy == "overwrite" else "add_only"
-    if repo_paths:
-        repo = _load_repo(tuple(repo_paths))
+    if args.kind == "openapi":
+        proposal, diags = ingest.ingest_openapi(_read(args.file))
     else:
-        repo = Repository()
+        target = _load_repo(args.repo) if args.repo else None
+        proposal, diags = ingest.ingest_k8s([_read(args.file)], target)
+    _report(diags)
+    repo = _load_repo(args.repo) if args.repo else Repository()
+    strategy = "overwrite_attributes" if args.merge == "overwrite" else "add_only"
     merged, merge_diags = ingest.merge_proposal(repo, proposal, strategy)
     _report(merge_diags)
-    text = serialize_repository(merged)
-    if write:
-        if len(repo_paths) != 1 or not Path(repo_paths[0]).is_file():
-            raise click.UsageError("--write requires exactly one repository file (--repo)")
-        Path(repo_paths[0]).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {repo_paths[0]}")
-    else:
-        click.echo(text, nl=False)
-    sys.exit(0)
+    if args.write and (len(args.repo) != 1 or not Path(args.repo[0]).is_file()):
+        raise UsageError("--write requires exactly one repository file (--repo)")
+    _emit(serialize_repository(merged), args.repo[0] if args.write else None)
 
 
-_ingest_options = [
-    click.option(
-        "--repo",
-        "repo_paths",
-        multiple=True,
-        help="Repository file(s) to merge the proposal into.",
-    ),
-    click.option(
-        "--merge",
-        "merge_strategy",
-        type=click.Choice(["add-only", "overwrite"]),
-        default="add-only",
-        show_default=True,
-    ),
-    click.option("--write", is_flag=True, help="Rewrite the repository file in place."),
-]
-
-
-def _with_ingest_options(fn):
-    for option in reversed(_ingest_options):
-        fn = option(fn)
-    return fn
-
-
-@ingest_group.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@_with_ingest_options
-def openapi(file, repo_paths, merge_strategy, write):
-    """Ingest an OpenAPI 3.x document."""
-    proposal, diags = ingest.ingest_openapi(SourceDocument.read(file))
-    _run_merge(proposal, diags, repo_paths, merge_strategy, write)
-
-
-@ingest_group.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@_with_ingest_options
-def k8s(file, repo_paths, merge_strategy, write):
-    """Ingest Kubernetes manifests (multi-document YAML)."""
-    target = _load_repo(tuple(repo_paths)) if repo_paths else None
-    proposal, diags = ingest.ingest_k8s([SourceDocument.read(file)], target)
-    _run_merge(proposal, diags, repo_paths, merge_strategy, write)
-
-
-@main.command()
-@click.argument("what", type=click.Choice(["scores", "retire", "reuse", "cluster"]))
-@click.argument("paths", nargs=-1, required=True)
-@click.option("--threshold", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--weights", "weights_spec", default=None, help="Per-view multipliers, e.g. owner=2,scope=0.5")
-@click.pass_context
-def analyze(ctx, what, paths, threshold, seed, weights_spec):
+def analyze(args) -> None:
     """Score, rank, or cluster the repository's services."""
-    config = ctx.obj.get("config", {}) if ctx.obj else {}
-    if threshold is None:
-        threshold = _config_number(config, "threshold", float, 1.0)
-    if seed is None:
-        seed = _config_number(config, "seed", int, 0)
-    if weights_spec is None:
-        weights_spec = config.get("weights")
-    repo = _load_repo(paths)
+    from . import analysis
+
+    config = _load_config(args.config)
+    if args.threshold is None:
+        args.threshold = _config_number(config, "threshold", float, 1.0)
+    if args.seed is None:
+        args.seed = _config_number(config, "seed", int, 0)
+    repo = _load_repo(args.paths)
     try:
-        weights = _parse_weights(weights_spec)
-        if what == "scores":
+        weights = _parse_weights(config.get("weights") if args.weights is None else args.weights)
+        if args.what == "scores":
             scores = analysis.value_scores(repo, weights)
             for eid in sorted(scores):
-                click.echo(f"{eid}\t{scores[eid]:g}")
-        elif what == "retire":
-            for eid, score in analysis.retirement_candidates(repo, threshold, weights):
-                click.echo(f"{eid}\t{score:g}")
-        elif what == "reuse":
+                print(f"{eid}\t{scores[eid]:g}")
+        elif args.what == "retire":
+            for eid, score in analysis.retirement_candidates(repo, args.threshold, weights):
+                print(f"{eid}\t{score:g}")
+        elif args.what == "reuse":
             counts = analysis.reuse_counts(repo)
             for eid in analysis.reuse_candidates(repo):
-                click.echo(f"{eid}\t{counts[eid]}")
+                print(f"{eid}\t{counts[eid]}")
         else:
             graph = analysis.build_value_graph(repo)
-            for idx, cluster in enumerate(analysis.cluster_graph(graph, seed)):
-                click.echo(f"cluster {idx}: " + ", ".join(sorted(cluster)))
+            for idx, cluster in enumerate(analysis.cluster_graph(graph, args.seed)):
+                print(f"cluster {idx}: " + ", ".join(sorted(cluster)))
     except (analysis.UnknownView, ValueError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
-@main.command()
-@click.argument("what", type=click.Choice(["dot", "json"]))
-@click.argument("paths", nargs=-1, required=True)
-@click.option("--out", "out_dir", required=True, help="Output directory.")
-def export(what, paths, out_dir):
+def export(args) -> None:
     """Write machine-readable exports (graph.dot, findings.json, scores.json)."""
-    repo = _load_repo(paths)
-    if what == "dot":
-        graph = analysis.build_value_graph(repo)
-        _emit(report.export_graph_dot(graph), out_dir, "graph.dot")
+    from . import analysis, report, validation
+
+    repo, out = _load_repo(args.paths), Path(args.out)
+    if args.what == "dot":
+        _emit(report.export_graph_dot(analysis.build_value_graph(repo)), out / "graph.dot")
     else:
-        findings = validation.validate(repo)
-        _emit(report.export_findings_json(findings), out_dir, "findings.json")
-        _emit(report.export_scores_json(analysis.value_scores(repo)), out_dir, "scores.json")
+        _emit(report.export_findings_json(validation.validate(repo)), out / "findings.json")
+        _emit(report.export_scores_json(analysis.value_scores(repo)), out / "scores.json")
 
 
-@main.command()
-@click.argument("paths", nargs=-1, required=True)
-@click.option("--write", is_flag=True, help="Rewrite files in place (single-file output).")
-def fmt(paths, write):
+def fmt(args) -> None:
     """Canonicalize repository files (idempotent)."""
-    text = serialize_repository(_load_repo(paths))
-    if write:
-        files = discover_files(paths)
-        if len(files) != 1:
-            raise click.UsageError("--write needs exactly one file (multi-file merge is lossy)")
-        files[0].write_text(text, encoding="utf-8")
-        click.echo(f"wrote {files[0]}")
+    text = serialize_repository(_load_repo(args.paths))
+    files = discover_files(args.paths) if args.write else [None]
+    if len(files) != 1:
+        raise UsageError("--write needs exactly one file (multi-file merge is lossy)")
+    _emit(text, files[0])
+
+
+def _parser(commands, name: str, doc: str, run=None) -> argparse.ArgumentParser:
+    """The top-level parser, or a subcommand of ``commands``; ``--help`` shows ``doc``."""
+    kwargs = dict(description=doc, add_help=False, allow_abbrev=False)
+    if commands is None:
+        parser = argparse.ArgumentParser(prog=name, **kwargs)
     else:
-        click.echo(text, nl=False)
+        parser = commands.add_parser(name, help=doc.splitlines()[0], **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.set_defaults(run=run, parser=parser)
+    return parser
 
 
-def _emit(text: str, out_dir: str | None, filename: str) -> None:
-    if out_dir is None:
-        click.echo(text, nl=False)
-        return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / filename).write_text(text, encoding="utf-8")
-    click.echo(f"wrote {out / filename}")
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+PATHS = _arg("paths", nargs="+", metavar="PATHS")
+# Command name -> the function that runs the command, then its arguments.
+COMMANDS = {
+    "validate": (validate, PATHS),
+    "matrix": (matrix, PATHS, _arg("--out", help="Write matrix.md here instead of stdout.")),
+    "elicit": (elicit, PATHS, _arg("--view", choices=[v.value for v in View])),
+    "ingest": (ingest_documents, _arg("kind", choices=("openapi", "k8s")),
+               _arg("file", metavar="FILE", type=_existing_file),
+               _arg("--repo", action="append", default=[],
+                    help="Repository file(s) to merge the proposal into."),
+               _arg("--merge", choices=("add-only", "overwrite"), default="add-only",
+                    help="[default: add-only]"),
+               _arg("--write", action="store_true", help="Rewrite the repository file in place.")),
+    "analyze": (analyze, _arg("what", choices=("scores", "retire", "reuse", "cluster")), PATHS,
+                _arg("--threshold", type=float), _arg("--seed", type=int),
+                _arg("--weights", help="Per-view multipliers, e.g. owner=2,scope=0.5")),
+    "export": (export, _arg("what", choices=("dot", "json")), PATHS,
+               _arg("--out", required=True, help="Output directory.")),
+    "fmt": (fmt, PATHS, _arg("--write", action="store_true",
+                             help="Rewrite files in place (single-file output).")),
+}
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Architecture-as-code toolkit for viewpoint-driven microservice models."""
+    top = _parser(None, prog_name or "w6hea", main.__doc__)
+    top.add_argument("--config", help="Config file with defaults.")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    for name, (run, *arguments) in COMMANDS.items():
+        parser = _parser(commands, name, run.__doc__, run)
+        for flags, kwargs in arguments:
+            parser.add_argument(*flags, **kwargs)
+    ns, extra = top.parse_known_args(args)  # None: sys.argv[1:]
+    # Like the positional paths before them, paths after an option are paths.
+    if extra and (not hasattr(ns, "paths") or any(a.startswith("-") for a in extra)):
+        ns.parser.error("unrecognized arguments: " + " ".join(extra))
+    ns.paths = getattr(ns, "paths", []) + extra
+    try:
+        try:
+            ns.run(ns)
+        finally:
+            if sys.stdout:  # None when the process started with stdout closed
+                sys.stdout.flush()
+    except UsageError as exc:
+        ns.parser.error(str(exc))
+    except BrokenPipeError:  # the reader of stdout went away, as in `validate r | head -1`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 if __name__ == "__main__":

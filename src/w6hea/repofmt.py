@@ -65,6 +65,15 @@ class SourceDocument:
             return cls(path=str(path), text=fh.read())
 
 
+def undecodable(path, exc: UnicodeDecodeError) -> Diagnostic:
+    """The error for a file that is not UTF-8, at its first undecodable byte.
+    ``exc`` is what decoding the whole file raised."""
+    head = exc.object[: exc.start].decode("utf-8")
+    location = Location(str(path), head.count("\n") + 1, len(head) - head.rfind("\n"))
+    message = f"not UTF-8: {exc.reason} (byte 0x{exc.object[exc.start]:02x})"
+    return Diagnostic("error", message, location)
+
+
 _ALIAS_LIMIT = 100_000  # values aliases may add to one document once expanded
 _NESTING_LIMIT = 100  # collections one document may nest, the top-level one included
 

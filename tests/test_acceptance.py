@@ -6,7 +6,6 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
 
 from w6hea.analysis import (
     ValueGraph,
@@ -15,7 +14,6 @@ from w6hea.analysis import (
     retirement_candidates,
     value_scores,
 )
-from w6hea.cli import main
 from w6hea.ingest import ingest_k8s, ingest_openapi, merge_proposal
 from w6hea.model import (
     Concern,
@@ -33,7 +31,7 @@ from w6hea.repofmt import SourceDocument, parse_repository, serialize_repository
 from w6hea.report import export_findings_json, export_graph_dot, render_matrix
 from w6hea.validation import check_precedence, validate
 
-from conftest import fixture_path, load_fixture_repo
+from conftest import fixture_path, invoke, load_fixture_repo
 from test_analysis import _components, brute_force_scores, clique, random_repository
 
 I = Interrogative
@@ -126,10 +124,9 @@ def test_criterion_5_rule_catalog():
     ]
     assert validate(load_fixture_repo("compliant.ea.yaml")) == []
 
-    runner = CliRunner()
-    assert runner.invoke(main, ["validate", str(fixture_path("compliant.ea.yaml"))]).exit_code == 0
-    assert runner.invoke(main, ["validate", str(fixture_path("violations.ea.yaml"))]).exit_code == 1
-    assert runner.invoke(main, ["validate", str(fixture_path("malformed.ea.yaml"))]).exit_code == 2
+    assert invoke(["validate", fixture_path("compliant.ea.yaml")]).exit_code == 0
+    assert invoke(["validate", fixture_path("violations.ea.yaml")]).exit_code == 1
+    assert invoke(["validate", fixture_path("malformed.ea.yaml")]).exit_code == 2
     ok(5, "rules fire on intended subjects only; exit codes 0/1/2 honored")
 
 

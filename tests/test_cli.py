@@ -1,13 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from w6hea import model
-from w6hea.cli import main
 
-from conftest import fixture_path
+from conftest import fixture_path, invoke
 from test_repofmt import NESTING_LIMIT
 
 COMPLIANT = str(fixture_path("compliant.ea.yaml"))
@@ -18,7 +20,7 @@ K8S = str(fixture_path("cart.k8s.yaml"))
 
 
 def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), **kwargs)
+    return invoke(args, **kwargs)
 
 
 class TestValidate:
@@ -51,10 +53,13 @@ class TestValidate:
 
 
 class TestMatrixAndElicit:
-    def test_matrix_stdout(self):
+    def test_matrix_stdout(self, tmp_path, monkeypatch):
         result = run("matrix", COMPLIANT)
         assert result.exit_code == 0
         assert "Motivation (Why)" in result.stdout
+        monkeypatch.chdir(tmp_path)  # an empty --out is the current directory
+        written = run("matrix", COMPLIANT, "--out", "")
+        assert (written.exit_code, (tmp_path / "matrix.md").read_text()) == (0, result.stdout)
 
     def test_elicit_all(self):
         result = run("elicit", COMPLIANT)
@@ -304,3 +309,115 @@ def test_name_with_no_letter_or_digit(tmp_path, name):
     result = run("ingest", "k8s", str(manifest))
     assert result.exit_code == 0
     assert result.stderr == f"{manifest}:1:1: warning: Service without metadata.name skipped\n"
+
+
+# The first undecodable byte: line 3, after "  - kind: mïcro" (15 characters,
+# one of them two bytes long).  The long comment puts it past the first 8 kB.
+NOT_UTF8 = b"# " + b"x" * 9000 + b"\nentities:\n  - kind: m\xc3\xafcro\xff\xfe\n"
+
+
+def not_utf8_error(path) -> str:
+    return f"{path}:3:16: error: not UTF-8: invalid start byte (byte 0xff)\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["fmt"], ["matrix"], ["ingest", "openapi"], ["ingest", "k8s"]]
+)
+def test_input_that_is_not_utf8_is_one_located_error(tmp_path, command):
+    path = tmp_path / "bad.ea.yaml"
+    path.write_bytes(NOT_UTF8)
+    result = run(*command, path)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == not_utf8_error(path)
+
+
+def test_repository_that_is_not_utf8_is_not_written(tmp_path):
+    target = tmp_path / "r.ea.yaml"
+    target.write_bytes(NOT_UTF8)
+    result = run("ingest", "openapi", OPENAPI, "--repo", target, "--write")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == not_utf8_error(target)
+    assert target.read_bytes() == NOT_UTF8
+
+
+def test_config_that_is_not_utf8_is_a_located_error(tmp_path):
+    config = tmp_path / "bad.toml"
+    config.write_bytes(b"seed = 1\n# \xff\n")
+    result = run("--config", config, "analyze", "scores", COMPLIANT)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"{config}:2:3: error: not UTF-8: invalid start byte (byte 0xff)\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["export", "json", VIOLATIONS], ["export", "dot", COMPLIANT], ["matrix", COMPLIANT]]
+)
+def test_out_that_is_a_file_is_a_usage_error(tmp_path, command):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    result = run(*command, "--out", afile)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert f"error: cannot write {afile}" in result.stderr
+    assert afile.read_text() == "keep\n"
+
+
+def refuse_writes(monkeypatch):
+    def write_text(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def test_fmt_write_that_fails_is_a_usage_error(tmp_path, monkeypatch):
+    target = tmp_path / "r.ea.yaml"
+    target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
+    refuse_writes(monkeypatch)
+    result = run("fmt", target, "--write")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert f"error: cannot write {target}: " in result.stderr
+    assert "Permission denied" in result.stderr
+
+
+def test_ingest_write_that_fails_is_a_usage_error(tmp_path, monkeypatch):
+    target = tmp_path / "r.ea.yaml"
+    target.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
+    refuse_writes(monkeypatch)
+    result = run("ingest", "k8s", K8S, "--repo", target, "--write")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert f"error: cannot write {target}: " in result.stderr
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    src = Path(__file__).parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    script = f"import sys\n{code}\nprint(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    return set(out.stdout.split())
+
+
+def test_importing_the_cli_loads_no_layer_and_no_click():
+    loaded = modules_after("import w6hea.cli")
+    assert "w6hea.cli" in loaded
+    layers = {"w6hea.analysis", "w6hea.ingest", "w6hea.report", "w6hea.validation"}
+    assert not loaded & (layers | {"click"})
+
+
+def test_validate_loads_only_validation():
+    run_validate = f"""
+from w6hea.cli import main
+try:
+    main(["validate", {COMPLIANT!r}])
+except SystemExit as exc:
+    assert exc.code == 0
+"""
+    loaded = modules_after(run_validate)
+    assert "w6hea.validation" in loaded
+    assert not loaded & {"w6hea.analysis", "w6hea.ingest", "w6hea.report"}
+
+
+def test_nothing_imports_click():
+    root = Path(__file__).parents[1]
+    pattern = re.compile(r"^\s*(import|from)\s+click\b", re.MULTILINE)
+    for path in [*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")]:
+        assert not pattern.search(path.read_text(encoding="utf-8")), path

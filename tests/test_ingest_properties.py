@@ -1,4 +1,5 @@
-"""Property tests: the extractors and the merge never raise on outside input.
+"""Property tests: the extractors and the merge never raise on outside input,
+and merging a proposal a second time changes nothing.
 
 Each known field of a generated document is either well-shaped or an
 arbitrary small YAML value, so the strategies reach the nested reads that a
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from w6hea.ingest import (
     HTTP_VERBS,
     K8S_SUPPORTED_KINDS,
+    MERGE_STRATEGIES,
     ingest_k8s,
     ingest_openapi,
     merge_proposal,
@@ -126,3 +128,22 @@ def test_ingest_k8s_and_merge_never_raise(manifests):
 def test_ingest_openapi_and_merge_never_raise(document):
     proposal, _ = ingest_openapi(SourceDocument("api.yaml", dump(document)))
     merge_proposal(Repository(), proposal)
+
+
+documents = st.lists(shaped(manifest), max_size=3).map(
+    lambda manifests: ("k8s", dump(*manifests))
+) | shaped(openapi_doc).map(lambda document: ("openapi", dump(document)))
+
+
+@PROPERTY_SETTINGS
+@given(documents, st.sampled_from(MERGE_STRATEGIES))
+def test_merge_is_idempotent(document, strategy):
+    kind, text = document
+    repo = known_microservice()
+    if kind == "k8s":
+        proposal, _ = ingest_k8s([SourceDocument("m.yaml", text)], repo)
+    else:
+        proposal, _ = ingest_openapi(SourceDocument("api.yaml", text))
+    once, _ = merge_proposal(repo, proposal, strategy)
+    twice, _ = merge_proposal(once, proposal, strategy)
+    assert twice == once
