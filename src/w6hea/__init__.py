@@ -5,7 +5,6 @@ from .model import (
     Entity,
     Interrogative,
     Link,
-    PrecedenceGraph,
     Repository,
     View,
     ViewCell,
@@ -28,7 +27,6 @@ __all__ = [
     "Entity",
     "Interrogative",
     "Link",
-    "PrecedenceGraph",
     "Repository",
     "SourceDocument",
     "View",

@@ -94,10 +94,10 @@ def prompt_catalog() -> dict:
 
 
 def elicitation_plan(repo: Repository, view: Optional[View] = None) -> ElicitationPlan:
-    """Ordered questions for one view or all views (view rank, then
+    """Ordered questions for one view or all views (view order, then
     interrogative order); a prompt is answered iff its cell is non-empty."""
     catalog = prompt_catalog()
-    wanted = [view] if view is not None else sorted(View, key=lambda v: v.rank)
+    wanted = [view] if view is not None else list(View)
     prompts = []
     for v in wanted:
         if v is View.CONSUMER:
@@ -215,7 +215,7 @@ def retirement_candidates(
     repo: Repository, threshold: float, weights: Optional[dict] = None
 ) -> list[tuple[str, float]]:
     """Services scoring strictly below the threshold, ascending by score then id."""
-    if threshold < 0:
+    if not threshold >= 0:  # NaN too
         raise ValueError("threshold must be >= 0")
     scores = value_scores(repo, weights)
     below = [(eid, s) for eid, s in scores.items() if s < threshold]

@@ -80,19 +80,20 @@ def _load_repo(paths: list[str]) -> Repository:
 
 
 def _load_config(path: str | None) -> dict:
-    """Flat key=value config (``.w6hea.toml``); section headers are ignored."""
-    candidates = [Path(path)] if path else [Path.cwd() / CONFIG_FILENAME]
+    """Flat key=value config (``.w6hea.toml``); section headers are ignored.
+    An explicit path must be readable; the default file is skipped when absent."""
+    if path is None:
+        path = Path.cwd() / CONFIG_FILENAME
+        if not path.exists():
+            return {}
     out: dict[str, str] = {}
-    for candidate in candidates:
-        if not candidate.is_file():
+    for line in _read(path).text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line or line.startswith("["):
             continue
-        for line in _read(candidate).text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line or line.startswith("["):
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-                out[key.strip()] = value.strip().strip("\"'")
+        if "=" in line:
+            key, _, value = line.partition("=")
+            out[key.strip()] = value.strip().strip("\"'")
     return out
 
 

@@ -2,12 +2,12 @@
 
 The model is a 5-view x 7-interrogative grid (the consumer row is a single
 merged cell, so 29 cells total) plus a typed entity/link graph with
-referential integrity enforced on every mutation.
+referential integrity enforced on every mutation.  The enums' declaration
+order is the grid's one ordering: rows scope..consumer, columns who..when.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from dataclasses import dataclass, field
@@ -55,6 +55,11 @@ class NestedTooDeep(ModelError):
     """Attributes or records nest more collections than a repository file holds."""
 
 
+def _declaration_rank(member) -> int:
+    """Position in declaration order, starting at 1: the grid's one ordering."""
+    return list(type(member)).index(member) + 1
+
+
 class Interrogative(str, Enum):
     WHO = "who"
     WHAT = "what"
@@ -64,24 +69,12 @@ class Interrogative(str, Enum):
     WHY = "why"
     WHEN = "when"
 
-    @property
-    def rank(self) -> int:
-        return _INTERROGATIVE_RANK[self]
+    rank = property(_declaration_rank)
 
     @property
     def alias(self) -> str:
         return _INTERROGATIVE_ALIAS[self]
 
-
-_INTERROGATIVE_RANK = {
-    Interrogative.WHO: 1,
-    Interrogative.WHAT: 2,
-    Interrogative.WHICH: 3,
-    Interrogative.WHERE: 4,
-    Interrogative.HOW: 5,
-    Interrogative.WHY: 6,
-    Interrogative.WHEN: 7,
-}
 
 _INTERROGATIVE_ALIAS = {
     Interrogative.WHO: "people",
@@ -93,86 +86,33 @@ _INTERROGATIVE_ALIAS = {
     Interrogative.WHEN: "time",
 }
 
-
-class PrecedenceGraph:
-    """Prerequisite formulas over the interrogatives, in disjunctive form.
-
-    ``requirements[q]`` is a tuple of alternative prerequisite sets: asking
-    ``q`` is justified once every member of at least one alternative is
-    answered.  An edge p -> q exists when p appears in any alternative of q;
-    the induced graph must be acyclic.
-    """
-
-    DEFAULT_REQUIREMENTS: dict[Interrogative, tuple[frozenset[Interrogative], ...]] = {
-        Interrogative.WHO: (),
-        Interrogative.WHAT: (),
-        Interrogative.WHICH: (),
-        Interrogative.WHERE: (),
-        Interrogative.HOW: (
-            frozenset({Interrogative.WHAT, Interrogative.WHICH}),
-            frozenset({Interrogative.WHAT, Interrogative.WHERE}),
-        ),
-        Interrogative.WHY: (
-            frozenset({Interrogative.WHAT, Interrogative.HOW}),
-        ),
-        Interrogative.WHEN: (
-            frozenset({Interrogative.WHERE, Interrogative.HOW}),
-        ),
-    }
-
-    def __init__(self, requirements=None):
-        self.requirements = dict(
-            requirements if requirements is not None else self.DEFAULT_REQUIREMENTS
-        )
-        for i in Interrogative:
-            self.requirements.setdefault(i, ())
-        order = self.topological_order()
-        if len(order) != len(Interrogative):
-            raise ValueError("precedence graph contains a cycle")
-
-    def prerequisites(self, i: Interrogative) -> list[frozenset[Interrogative]]:
-        return list(self.requirements[i])
-
-    def edges(self) -> set[tuple[Interrogative, Interrogative]]:
-        out = set()
-        for q, alternatives in self.requirements.items():
-            for alt in alternatives:
-                for p in alt:
-                    out.add((p, q))
-        return out
-
-    def topological_order(self) -> list[Interrogative]:
-        """Kahn's algorithm with interrogative rank as the tie-break."""
-        indegree = {i: 0 for i in Interrogative}
-        successors: dict[Interrogative, set[Interrogative]] = {i: set() for i in Interrogative}
-        for p, q in self.edges():
-            if q not in successors[p]:
-                successors[p].add(q)
-                indegree[q] += 1
-        ready = [(i.rank, i) for i in Interrogative if indegree[i] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            _, node = heapq.heappop(ready)
-            order.append(node)
-            for succ in successors[node]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    heapq.heappush(ready, (succ.rank, succ))
-        return order
-
-
-_DEFAULT_PRECEDENCE = PrecedenceGraph()
+# Prerequisite formulas in disjunctive form: asking ``q`` is justified once
+# every member of at least one alternative set of PREREQUISITES[q] is answered
+# (who, what, which and where need nothing).  Each prerequisite is declared
+# before the interrogative that needs it, so declaration order is also an
+# order of the precedence.
+PREREQUISITES: dict[Interrogative, tuple[frozenset[Interrogative], ...]] = {
+    Interrogative.HOW: (
+        frozenset({Interrogative.WHAT, Interrogative.WHICH}),
+        frozenset({Interrogative.WHAT, Interrogative.WHERE}),
+    ),
+    Interrogative.WHY: (
+        frozenset({Interrogative.WHAT, Interrogative.HOW}),
+    ),
+    Interrogative.WHEN: (
+        frozenset({Interrogative.WHERE, Interrogative.HOW}),
+    ),
+}
 
 
 def interrogative_order() -> list[Interrogative]:
-    """The canonical who..when ordering (topological sort, rank tie-break)."""
-    return _DEFAULT_PRECEDENCE.topological_order()
+    """The canonical who..when ordering: declaration order."""
+    return list(Interrogative)
 
 
 def prerequisites(i: Interrogative) -> list[frozenset[Interrogative]]:
     """Alternative prerequisite sets for one interrogative (empty for the first four)."""
-    return _DEFAULT_PRECEDENCE.prerequisites(i)
+    return list(PREREQUISITES.get(i, ()))
 
 
 class View(str, Enum):
@@ -182,9 +122,7 @@ class View(str, Enum):
     BUILDER = "builder"
     CONSUMER = "consumer"
 
-    @property
-    def rank(self) -> int:
-        return _VIEW_RANK[self]
+    rank = property(_declaration_rank)
 
     @property
     def label(self) -> str:
@@ -194,14 +132,6 @@ class View(str, Enum):
     def stakeholder_groups(self) -> list[str]:
         return list(_VIEW_STAKEHOLDERS[self])
 
-
-_VIEW_RANK = {
-    View.SCOPE: 1,
-    View.OWNER: 2,
-    View.DESIGNER: 3,
-    View.BUILDER: 4,
-    View.CONSUMER: 5,
-}
 
 _VIEW_LABEL = {
     View.SCOPE: "Scope (Ballpark View)",
@@ -250,7 +180,7 @@ _VIEW_STAKEHOLDERS = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ViewCell:
     """One cell of the grid; the consumer view is a single merged cell."""
 
@@ -269,17 +199,12 @@ class ViewCell:
             return self.view.value
         return f"{self.view.value}/{self.interrogative.value}"
 
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        irank = self.interrogative.rank if self.interrogative else 0
-        return (self.view.rank, irank)
-
 
 def cells() -> list[ViewCell]:
     """All 29 cells in row-major order, merged consumer cell last."""
     out = []
-    for view in sorted((v for v in View if v is not View.CONSUMER), key=lambda v: v.rank):
-        for interrogative in interrogative_order():
+    for view in (v for v in View if v is not View.CONSUMER):
+        for interrogative in Interrogative:
             out.append(ViewCell(view, interrogative))
     out.append(ViewCell(View.CONSUMER))
     return out

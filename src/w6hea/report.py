@@ -43,7 +43,7 @@ def render_matrix(matrix: CoverageMatrix) -> str:
     order = interrogative_order()
     lines = ["| View | " + " | ".join(COLUMN_HEADERS[i] for i in order) + " |"]
     lines.append("|" + " --- |" * (len(order) + 1))
-    for view in sorted(View, key=lambda v: v.rank):
+    for view in View:
         if view is View.CONSUMER:
             cc = coverage[ViewCell(view)]
             merged = f"{cc.status} ({cc.concern_count})"

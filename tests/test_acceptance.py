@@ -19,7 +19,6 @@ from w6hea.model import (
     Concern,
     Entity,
     Interrogative,
-    PrecedenceGraph,
     Repository,
     View,
     ViewCell,
@@ -46,7 +45,9 @@ def test_criterion_1_canonical_ordering():
     order = interrogative_order()
     elapsed = time.perf_counter() - start
     assert order == [I.WHO, I.WHAT, I.WHICH, I.WHERE, I.HOW, I.WHY, I.WHEN]
-    assert order == PrecedenceGraph().topological_order()
+    for i in order:
+        for alternative in prerequisites(i):
+            assert all(order.index(p) < order.index(i) for p in alternative)
     assert elapsed < 0.001
     ok(1, f"canonical ordering who..when, topological, in {elapsed * 1e6:.0f}us")
 

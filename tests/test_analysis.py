@@ -202,6 +202,13 @@ class TestRetirement:
         repo.add_entity(Entity("microservice", "idle"))
         assert retirement_candidates(repo, 0.0) == []
 
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_threshold_below_zero_or_nan_is_rejected(self, threshold):
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "idle"))
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            retirement_candidates(repo, threshold)
+
     def test_matches_brute_force_filter(self):
         rng = random.Random(13)
         for _ in range(50):

@@ -105,6 +105,26 @@ class TestAnalyze:
         assert result.exit_code == 0
         assert "microservice.audit" in result.stdout
 
+    @pytest.mark.parametrize("where", ["missing.toml", "."])
+    def test_config_that_cannot_be_read_is_a_usage_error(self, tmp_path, where):
+        config = tmp_path / where
+        result = run("--config", config, "analyze", "reuse", COMPLIANT)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert f"cannot read {config}" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_nan_threshold_is_a_usage_error(self):
+        result = run("analyze", "retire", VIOLATIONS, "--threshold", "nan")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "threshold must be >= 0" in result.stderr
+
+    def test_nan_threshold_in_config_is_a_usage_error(self, tmp_path, monkeypatch):
+        (tmp_path / ".w6hea.toml").write_text("threshold = nan\n")
+        monkeypatch.chdir(tmp_path)
+        result = run("analyze", "retire", VIOLATIONS)
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert "threshold must be >= 0" in result.stderr
+
 
 class TestExport:
     def test_export_json_writes_files(self, tmp_path):
