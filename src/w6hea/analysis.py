@@ -19,7 +19,6 @@ from .model import (
     View,
     ViewCell,
     cells,
-    interrogative_order,
     slugify,
 )
 
@@ -50,9 +49,6 @@ class CoverageMatrix:
     @property
     def total(self) -> int:
         return len(self.cells)
-
-    def by_cell(self) -> dict[ViewCell, CellCoverage]:
-        return {c.cell: c for c in self.cells}
 
 
 def coverage_matrix(repo: Repository) -> CoverageMatrix:
@@ -94,21 +90,16 @@ def prompt_catalog() -> dict:
 
 
 def elicitation_plan(repo: Repository, view: Optional[View] = None) -> ElicitationPlan:
-    """Ordered questions for one view or all views (view order, then
-    interrogative order); a prompt is answered iff its cell is non-empty."""
+    """Ordered questions for one view or all views, one per cell of the
+    coverage matrix; a prompt is answered iff its cell is non-empty."""
     catalog = prompt_catalog()
-    wanted = [view] if view is not None else list(View)
     prompts = []
-    for v in wanted:
-        if v is View.CONSUMER:
-            cell = ViewCell(v)
-            status = "answered" if repo.concerns_at(cell) else "open"
-            prompts.append(Prompt(v, None, str(catalog["consumer"]), status))
-            continue
-        for i in interrogative_order():
-            cell = ViewCell(v, i)
-            status = "answered" if repo.concerns_at(cell) else "open"
-            prompts.append(Prompt(v, i, str(catalog[v.value][i.value]), status))
+    for cc in coverage_matrix(repo).cells:
+        v, i = cc.cell.view, cc.cell.interrogative
+        if view is None or v is view:
+            question = catalog[v.value] if i is None else catalog[v.value][i.value]
+            status = "open" if cc.status == "empty" else "answered"
+            prompts.append(Prompt(v, i, str(question), status))
     return ElicitationPlan(prompts=prompts)
 
 

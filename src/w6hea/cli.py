@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .model import Repository, View
+from .model import Repository, View, ViewCell
 from .repofmt import SourceDocument, parse_repository, serialize_repository, undecodable
 
 REPO_PATTERNS = ("*.ea.yaml", "*.ea.json")
@@ -162,11 +162,8 @@ def elicit(args) -> None:
     repo = _load_repo(args.paths)
     view = View(args.view) if args.view else None
     for prompt in analysis.elicitation_plan(repo, view).prompts:
-        cell = prompt.view.value
-        if prompt.interrogative is not None:
-            cell += f"/{prompt.interrogative.value}"
         marker = "x" if prompt.status == "answered" else " "
-        print(f"[{marker}] {cell}: {prompt.question}")
+        print(f"[{marker}] {ViewCell(prompt.view, prompt.interrogative).key()}: {prompt.question}")
 
 
 def ingest_documents(args) -> None:
@@ -195,7 +192,7 @@ def analyze(args) -> None:
     """Score, rank, or cluster the repository's services."""
     from . import analysis
 
-    config = _load_config(args.config)
+    config = args.config  # the mapping main loaded
     if args.threshold is None:
         args.threshold = _config_number(config, "threshold", float, 1.0)
     if args.seed is None:
@@ -297,6 +294,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         ns.parser.error("unrecognized arguments: " + " ".join(extra))
     ns.paths = getattr(ns, "paths", []) + extra
     try:
+        ns.config = _load_config(ns.config)  # every command checks it; analyze reads it
         try:
             ns.run(ns)
         finally:

@@ -81,9 +81,9 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     if not version.startswith("3"):
         _warn(diags, doc.path, f"unsupported OpenAPI version {version!r}; parsing best-effort")
 
-    # A name without a letter or digit would give an empty id: read it as absent.
-    title = str(_mapping(data.get("info")).get("title") or "")
-    title = title if slugify(title) else "untitled-api"
+    # A title that is not text, or has no letter or digit, reads as absent.
+    title = _mapping(data.get("info")).get("title")
+    title = title if isinstance(title, str) and slugify(title) else "untitled-api"
     tags = [
         t["name"]
         for t in _mappings(data.get("tags"))

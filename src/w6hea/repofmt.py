@@ -190,18 +190,31 @@ class _Invalid(Exception):
     the field at fault, or None for the declaration as a whole."""
 
 
+def _text(value, key: str, what: str = "") -> Optional[str]:
+    """A scalar ``value`` as text, None as None.  A collection, which ``str``
+    would turn into its Python repr, is an error at the value of ``key``."""
+    if isinstance(value, (list, dict, set)):
+        shape = "sequence" if isinstance(value, list) else "mapping"
+        raise _Invalid(f"{what or key} must be text, not a {shape}", key)
+    return None if value is None else str(value)
+
+
+def _meta(fields: dict) -> dict:
+    return {key: _text(fields[key], key) for key in ("name", "version") if key in fields}
+
+
 def _entity(fields: dict) -> Entity:
-    kind, name = fields.get("kind"), fields.get("name")
+    kind, name = (_text(fields.get(key), key) for key in ("kind", "name"))
     if kind is None or name is None:
         raise _Invalid("entity requires 'kind' and 'name'", None)
     attributes = fields.get("attributes") or {}
     if not isinstance(attributes, dict):
         raise _Invalid("entity attributes must be a mapping", "attributes")
-    return Entity(kind=str(kind), name=str(name), attributes=attributes)
+    return Entity(kind=kind, name=name, attributes=attributes)
 
 
 def _link(fields: dict) -> Link:
-    kind, source, target = fields.get("kind"), fields.get("source"), fields.get("target")
+    kind, source, target = (_text(fields.get(key), key) for key in ("kind", "source", "target"))
     if kind is None or source is None or target is None:
         raise _Invalid("link requires 'kind', 'source' and 'target'", None)
     weight = fields.get("weight", 1.0)
@@ -209,11 +222,12 @@ def _link(fields: dict) -> Link:
         weight = float(weight)
     except (TypeError, ValueError, OverflowError):
         raise _Invalid(f"link weight must be a number, got {weight!r}", "weight")
-    return Link(kind=str(kind), source=str(source), target=str(target), weight=weight)
+    return Link(kind=kind, source=source, target=target, weight=weight)
 
 
 def _concern(fields: dict) -> Concern:
     cid, view, interrogative = fields.get("id"), fields.get("view"), fields.get("interrogative")
+    cid = _text(cid, "id")
     if cid is None or view is None:
         raise _Invalid("concern requires 'id' and 'view'", None)
     try:
@@ -234,10 +248,10 @@ def _concern(fields: dict) -> Concern:
     if not isinstance(records, list):
         raise _Invalid("records must be a sequence", "records")
     return Concern(
-        id=str(cid),
+        id=cid,
         cell=cell,
-        statement=str(fields.get("statement") or ""),
-        entity_refs=[str(r) for r in entity_refs],
+        statement=_text(fields.get("statement"), "statement") or "",
+        entity_refs=[_text(r, "entity_refs", "each entity_refs item") for r in entity_refs],
         records=records,
     )
 
@@ -262,31 +276,24 @@ def parse_repository(
     def report(severity: str, path: str, node, message: str) -> None:
         diagnostics.append(Diagnostic(severity, message, _loc(path, node.start_mark)))
 
-    def construct(path: str, node) -> Optional[dict]:
-        """The mapping one declaration holds, constructed once; None on error."""
+    def build(path: str, node, builder):
+        """What ``builder`` makes of the mapping ``node`` holds; None on error."""
         try:
-            value = constructor.construct_document(node)
+            fields = constructor.construct_document(node)
         except yaml.YAMLError as exc:
             diagnostics.append(yaml_error(path, exc))
             return None
-        if not isinstance(value, dict):
+        if not isinstance(fields, dict):
             report("error", path, node, "expected a mapping")
             return None
-        return value
-
-    def read_section(path: str, section: str, sequence) -> None:
-        build = _SECTIONS[section]
-        for node in sequence.value:
-            fields = construct(path, node)
-            if fields is None:
-                continue
-            try:
-                decls[section].append((build(fields), _loc(path, node.start_mark)))
-            except _Invalid as exc:
-                message, key = exc.args
-                # Explicit keys follow merged ones, so the last match holds the value.
-                at = next((v for k, v in reversed(node.value) if k.value == key), node)
-                report("error", path, at, message)
+        try:
+            return builder(fields)
+        except _Invalid as exc:
+            message, key = exc.args
+            # Explicit keys follow merged ones, so the last match holds the value.
+            at = next((v for k, v in reversed(node.value) if k.value == key), node)
+            report("error", path, at, message)
+            return None
 
     for doc in docs:
         try:
@@ -302,12 +309,15 @@ def parse_repository(
                 key = key_node.value  # a key that is not a scalar is named by its node type
                 key = key if isinstance(key_node, yaml.ScalarNode) else f"<{key_node.id}>"
                 if key == "meta":
-                    for mk, mv in (construct(doc.path, value_node) or {}).items():
+                    for mk, mv in (build(doc.path, value_node, _meta) or {}).items():
                         meta.setdefault(mk, mv)  # the first file's value wins
                 elif key not in _SECTIONS:
                     report("warning", doc.path, key_node, f"unknown top-level key {key!r} ignored")
                 elif isinstance(value_node, yaml.SequenceNode):
-                    read_section(doc.path, key, value_node)
+                    for node in value_node.value:
+                        item = build(doc.path, node, _SECTIONS[key])
+                        if item is not None:
+                            decls[key].append((item, _loc(doc.path, node.start_mark)))
                 else:
                     report("error", doc.path, value_node, "expected a sequence")
 

@@ -5,11 +5,15 @@ All output is byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
+from typing import TYPE_CHECKING
 
-from .analysis import CoverageMatrix, ValueGraph
-from .model import Interrogative, View, ViewCell, interrogative_order
-from .validation import Finding
+from .model import Interrogative
+
+if TYPE_CHECKING:  # annotations only: rendering needs neither layer loaded
+    from .analysis import CoverageMatrix, ValueGraph
+    from .validation import Finding
 
 # Paper-style column headers: alias capitalized, interrogative in parentheses.
 COLUMN_HEADERS = {
@@ -37,23 +41,16 @@ DOT_DEFAULT_SHAPE = "oval"
 
 
 def render_matrix(matrix: CoverageMatrix) -> str:
-    """Markdown table: four view rows x seven columns plus the merged
-    consumer row; each cell shows status and concern count."""
-    coverage = matrix.by_cell()
-    order = interrogative_order()
-    lines = ["| View | " + " | ".join(COLUMN_HEADERS[i] for i in order) + " |"]
-    lines.append("|" + " --- |" * (len(order) + 1))
-    for view in View:
-        if view is View.CONSUMER:
-            cc = coverage[ViewCell(view)]
-            merged = f"{cc.status} ({cc.concern_count})"
-            lines.append(f"| {view.label} | {merged} |" + " &#8212; |" * (len(order) - 1))
-            continue
-        row = [view.label]
-        for i in order:
-            cc = coverage[ViewCell(view, i)]
-            row.append(f"{cc.status} ({cc.concern_count})")
-        lines.append("| " + " | ".join(row) + " |")
+    """Markdown table: one row per view over the seven columns, the merged
+    consumer row padded with dashes; each cell shows status and concern count."""
+    width = len(Interrogative)
+    lines = ["| View | " + " | ".join(COLUMN_HEADERS[i] for i in Interrogative) + " |"]
+    lines.append("|" + " --- |" * (width + 1))
+    # matrix.cells is in cells() order, so each view's cells are adjacent.
+    for view, row in itertools.groupby(matrix.cells, key=lambda cc: cc.cell.view):
+        shown = [f"{cc.status} ({cc.concern_count})" for cc in row]
+        shown += ["&#8212;"] * (width - len(shown))
+        lines.append(f"| {view.label} | " + " | ".join(shown) + " |")
     lines.append("")
     lines.append(f"Coverage: {matrix.occupied}/{matrix.total} cells hold concerns.")
     return "\n".join(lines) + "\n"

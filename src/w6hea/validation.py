@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    PREREQUISITES,
     Interrogative,
     Repository,
-    View,
     ViewCell,
-    prerequisites,
 )
 
 
@@ -105,29 +104,23 @@ def _link_integrity(repo: Repository):
 def _precedence(repo: Repository):
     """Flag occupied cells whose prerequisite cells are all empty within the view.
 
-    For each non-consumer view V and interrogative i with at least one concern
-    at (V, i): some alternative prerequisite set must be fully covered by
-    non-empty cells of V, otherwise the cell is flagged once.
+    A cell (V, i) holding concerns needs every cell (V, p), p in some
+    alternative prerequisite set of i, to hold concerns too; otherwise it is
+    flagged once.  The merged consumer cell has no prerequisites.
     """
-    occupied: dict[View, set[Interrogative]] = {}
-    for concern in repo.concerns.values():
-        if concern.cell.interrogative is not None:
-            occupied.setdefault(concern.cell.view, set()).add(concern.cell.interrogative)
-
-    for view, interrogatives in occupied.items():
-        for i in interrogatives:
-            alternatives = prerequisites(i)
-            if not alternatives or any(alt <= interrogatives for alt in alternatives):
-                continue
-            wanted = " or ".join(
-                "{" + ", ".join(sorted(p.value for p in alt)) + "}"
-                for alt in alternatives
-            )
-            cell = ViewCell(view, i).key()
-            yield cell, (
-                f"cell {cell} holds concerns but its prerequisites "
-                f"{wanted} are not answered within the {view.value} view"
-            )
+    occupied = {c.cell for c in repo.concerns.values()}
+    for cell in occupied:
+        alternatives = PREREQUISITES.get(cell.interrogative, ())
+        answered = (all(ViewCell(cell.view, p) in occupied for p in alt) for alt in alternatives)
+        if not alternatives or any(answered):
+            continue
+        wanted = " or ".join(
+            "{" + ", ".join(sorted(p.value for p in alt)) + "}" for alt in alternatives
+        )
+        yield cell.key(), (
+            f"cell {cell.key()} holds concerns but its prerequisites "
+            f"{wanted} are not answered within the {cell.view.value} view"
+        )
 
 
 RULES = (

@@ -107,7 +107,7 @@ class TestCoverage:
     def test_partial_when_no_entity_refs(self):
         repo = Repository()
         repo.add_concern(Concern("c1", ViewCell(View.SCOPE, I.WHO)))
-        matrix = coverage_matrix(repo).by_cell()
+        matrix = {c.cell: c for c in coverage_matrix(repo).cells}
         assert matrix[ViewCell(View.SCOPE, I.WHO)].status == "partial"
 
     def test_monotone_in_concerns(self):

@@ -66,6 +66,13 @@ class TestMatrixAndElicit:
         assert result.exit_code == 0
         assert result.stdout.count("[") == 29
 
+    def test_elicit_exact_stdout(self):
+        expected = fixture_path("compliant.elicit.txt").read_text(encoding="utf-8")
+        assert run("elicit", COMPLIANT).stdout == expected
+        consumer = run("elicit", COMPLIANT, "--view", "consumer")
+        assert (consumer.exit_code, consumer.stdout) == (0, expected.splitlines(True)[-1])
+        assert consumer.stdout.startswith("[ ] consumer: What SDKs")
+
     def test_elicit_view_filter(self):
         result = run("elicit", COMPLIANT, "--view", "scope")
         lines = result.stdout.strip().splitlines()
@@ -225,6 +232,75 @@ class TestIngestCli:
         before = target.read_bytes()
         run("ingest", "k8s", K8S, "--repo", str(target))
         assert target.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", COMPLIANT], ["matrix", COMPLIANT], ["fmt", COMPLIANT], ["elicit", COMPLIANT],
+    ["export", "json", COMPLIANT, "--out", "OUT"], ["ingest", "openapi", OPENAPI],
+], ids=["validate", "matrix", "fmt", "elicit", "export-json", "ingest-openapi"])
+def test_every_command_checks_the_config(tmp_path, command):
+    config, out = tmp_path / "missing.toml", tmp_path / "out"
+    result = run("--config", config, *[out if arg == "OUT" else arg for arg in command])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: ")
+    assert f": error: cannot read {config}: " in result.stderr
+    assert not out.exists()
+
+
+def write_repo(tmp_path, **files) -> Path:
+    for name, text in files.items():
+        (tmp_path / f"{name}.ea.yaml").write_text(text)
+    return tmp_path
+
+
+SPLIT_REPO = {  # one repository in two files
+    "a": "entities:\n  - {kind: microservice, name: cart}\n",
+    "b": "concerns:\n  - {id: c1, view: consumer, entity_refs: [microservice.cart]}\n",
+}
+
+
+# Invocations that are usage errors: exit 2, the message under the usage line,
+# nothing on stdout and nothing written.
+USAGE_ERRORS = [
+    pytest.param(["validate", "EMPTY"], "no repository files found", id="empty-directory"),
+    pytest.param(["analyze", "scores", COMPLIANT, "--weights", "x"],
+                 "weights must be view=value pairs, got 'x'", id="weights-without-equals"),
+    pytest.param(["analyze", "scores", COMPLIANT, "--weights", "owner=abc"],
+                 "weight for 'owner' is not a number", id="weight-not-a-number"),
+    pytest.param(["ingest", "openapi", OPENAPI, "--write"],
+                 "--write requires exactly one repository file (--repo)", id="ingest-write-no-repo"),
+    pytest.param(["ingest", "openapi", OPENAPI, "--repo", "SPLIT", "--write"],
+                 "--write requires exactly one repository file (--repo)",
+                 id="ingest-write-directory"),
+    pytest.param(["fmt", "SPLIT", "--write"],
+                 "--write needs exactly one file (multi-file merge is lossy)", id="fmt-write-two-files"),
+]
+
+
+@pytest.mark.parametrize("command, message", USAGE_ERRORS)
+def test_usage_error(tmp_path, command, message):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "split").mkdir()
+    split = write_repo(tmp_path / "split", **SPLIT_REPO)
+    before = {p: p.read_bytes() for p in split.iterdir()}
+    paths = {"EMPTY": tmp_path / "empty", "SPLIT": split}
+    result = run(*[paths.get(arg, arg) for arg in command])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: ")
+    assert result.stderr.endswith(f": error: {message}\n")
+    assert {p: p.read_bytes() for p in split.iterdir()} == before
+
+
+def test_analyze_reuse_prints_each_candidate(tmp_path):
+    write_repo(tmp_path, r=(
+        "entities:\n  - {kind: microservice, name: cart}\n"
+        "  - {kind: business_function, name: billing}\n"
+        "  - {kind: business_function, name: ordering}\n"
+        "links:\n  - {kind: automates, source: microservice.cart, target: business_function.billing}\n"
+        "  - {kind: automates, source: microservice.cart, target: business_function.ordering}\n"
+    ))
+    result = run("analyze", "reuse", tmp_path)
+    assert (result.exit_code, result.stdout, result.stderr) == (0, "microservice.cart\t2\n", "")
 
 
 def test_nan_weight_is_a_usage_error():
@@ -434,6 +510,18 @@ except SystemExit as exc:
     loaded = modules_after(run_validate)
     assert "w6hea.validation" in loaded
     assert not loaded & {"w6hea.analysis", "w6hea.ingest", "w6hea.report"}
+
+
+def test_matrix_loads_analysis_and_report_only():
+    run_matrix = f"""
+import contextlib, io
+from w6hea.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["matrix", {COMPLIANT!r}])
+"""
+    loaded = modules_after(run_matrix)
+    assert {"w6hea.analysis", "w6hea.report"} <= loaded
+    assert not loaded & {"w6hea.validation", "w6hea.ingest"}
 
 
 def test_nothing_imports_click():

@@ -297,6 +297,16 @@ OPENAPI_MALFORMED = [
         id="list-info",
     ),
     pytest.param(
+        "info: {title: [a, b]}\npaths: {/a: {get: {}}}\n",
+        {"untitled-api": [("/a", None)]},
+        id="list-title",
+    ),
+    pytest.param(
+        "info: {title: 42}\npaths: {/a: {get: {}}}\n",
+        {"untitled-api": [("/a", None)]},
+        id="number-title",
+    ),
+    pytest.param(
         "info: {title: Shop}\ntags: [{name: [1]}]\npaths: {/a: {get: {tags: [[1]]}}}\n",
         {"Shop": [("/a", None)]},
         id="list-tag-name",
@@ -386,3 +396,13 @@ def test_blank_openapi_names_read_as_absent(text, apis):
     (concern,) = merged.concerns.values()
     assert concern.entity_refs == apis
     assert len(concern.records) == 2
+
+
+def test_openapi_operation_with_two_response_codes():
+    text = "openapi: 3.0.0\ninfo: {title: Shop}\npaths: {/a: {get: {responses: {'404': {}, 200: {}}}}}\n"
+    proposal, diagnostics = ingest_openapi(SourceDocument("api.yaml", text))
+    assert diagnostics == []
+    assert [e.attributes["methods"] for e in proposal.entities] == [[
+        {"verb": "get", "path": "/a", "design_tech": "OpenAPI", "status_code": 200,
+         "status_codes": ["200", "404"]},
+    ]]

@@ -252,3 +252,12 @@ class TestNonFiniteWeight:
         assert str(info.value) == (
             "link 'exposes--api.orders--microservice.cart' has negative weight -1"
         )
+
+
+def test_integrity_scan_reports_a_dangling_concern_ref():
+    repo = Repository()
+    repo.add_entity(Entity("api", "orders"))
+    repo.add_concern(Concern("c1", ViewCell(View.CONSUMER), entity_refs=["api.orders"]))
+    assert repo.integrity_violations() == []
+    del repo.entities["api.orders"]  # the adders never allow this; the scan still sees it
+    assert repo.integrity_violations() == [("c1", "concern c1: dangling entity ref 'api.orders'")]

@@ -436,16 +436,100 @@ def test_alias_that_would_be_written_past_the_nesting_bound_is_a_located_error(p
         assert parse_text(serialize_repository(repo)) == (repo, [])
 
 
-def test_meta_name_is_text_and_reads_back():
-    lists = NESTING_LIMIT - 1  # one level down; the name itself would be two
-    repo, _ = parse_text("x: &deep " + "[" * lists + "]" * lists + "\nmeta: {name: *deep}\n")
-    assert repo.name == "[" * lists + "]" * lists
-    assert parse_text(serialize_repository(repo)) == (repo, [])
-
-
 def test_next_line_character_round_trips():
     # U+0085 is a YAML line break: written raw inside quotes it reads back as a space.
     repo = Repository(name="shop\x85", version="1")
     repo.add_entity(Entity("microservice", "cart", {"tech_stack": ["a\x85b", "\x85"]}))
     text = serialize_repository(repo)
     assert parse_text(text) == (repo, [])
+
+
+CONCERN = "concerns:\n  - id: c1\n    view: scope\n    interrogative: why\n"
+DEEP = NESTING_LIMIT - 1  # one level down in meta; the name itself would be two
+
+# One declaration the model cannot take: the exact diagnostic, located at the
+# value of the key at fault (where an alias or a merge key copied it from, if
+# one did), or at the declaration when no key is.
+DECLARATION_ERRORS = [
+    pytest.param("entities:\n  - name: cart\n", "2:5: error: entity requires 'kind' and 'name'",
+                 id="entity-without-kind"),
+    pytest.param("entities:\n  - kind: api\n", "2:5: error: entity requires 'kind' and 'name'",
+                 id="entity-without-name"),
+    pytest.param(ENTITY + "    attributes: [a]\n", "4:17: error: entity attributes must be a mapping",
+                 id="attributes-not-a-mapping"),
+    pytest.param("links:\n  - {kind: exposes, source: api.a}\n",
+                 "2:5: error: link requires 'kind', 'source' and 'target'", id="link-without-target"),
+    pytest.param("links:\n  - kind: exposes\n    source: api.a\n    target: microservice.b\n"
+                 "    weight: heavy\n", "5:13: error: link weight must be a number, got 'heavy'",
+                 id="weight-not-a-number"),
+    pytest.param("concerns:\n  - view: scope\n", "2:5: error: concern requires 'id' and 'view'",
+                 id="concern-without-id"),
+    pytest.param("concerns:\n  - id: c1\n", "2:5: error: concern requires 'id' and 'view'",
+                 id="concern-without-view"),
+    pytest.param("concerns:\n  - id: c1\n    view: nowhere\n", "3:11: error: unknown view 'nowhere'",
+                 id="unknown-view"),
+    pytest.param(CONCERN.replace("why", "whom"), "4:20: error: unknown interrogative 'whom'",
+                 id="unknown-interrogative"),
+    pytest.param(CONCERN + "    entity_refs: api.orders\n",
+                 "5:18: error: entity_refs must be a sequence", id="entity-refs-not-a-sequence"),
+    pytest.param(CONCERN + "    records: {a: 1}\n", "5:14: error: records must be a sequence",
+                 id="records-not-a-sequence"),
+    pytest.param("- entities\n", "1:1: error: expected a mapping", id="top-level-sequence"),
+    pytest.param("entities:\n  - [kind, name]\n", "2:5: error: expected a mapping",
+                 id="declaration-not-a-mapping"),
+    pytest.param("entities:\n  - {kind: widget, name: w}\n", "2:5: error: unknown entity kind 'widget'",
+                 id="unknown-entity-kind"),
+    pytest.param("links:\n  - {kind: calls, source: api.a, target: api.b}\n",
+                 "2:5: error: unknown link kind 'calls'", id="unknown-link-kind"),
+    pytest.param("entities:\n  - {kind: api, name: a}\n"
+                 "links:\n  - {kind: exposes, source: api.a, target: api.a}\n",
+                 "4:5: error: exposes target must be one of ('microservice',), got 'api' (api.a)",
+                 id="link-target-kind"),
+    pytest.param("entities:\n  - kind: microservice\n    name: [a, b]\n",
+                 "3:11: error: name must be text, not a sequence", id="name-sequence"),
+    pytest.param("entities:\n  - kind: {a: 1}\n    name: cart\n",
+                 "2:11: error: kind must be text, not a mapping", id="kind-mapping"),
+    pytest.param("links:\n  - {kind: [exposes], source: api.a, target: microservice.b}\n",
+                 "2:12: error: kind must be text, not a sequence", id="link-kind-sequence"),
+    pytest.param("links:\n  - {kind: exposes, source: [api.a], target: microservice.b}\n",
+                 "2:29: error: source must be text, not a sequence", id="source-sequence"),
+    pytest.param("links:\n  - {kind: exposes, source: api.a, target: {m: b}}\n",
+                 "2:44: error: target must be text, not a mapping", id="target-mapping"),
+    pytest.param("concerns:\n  - id: [c]\n    view: consumer\n",
+                 "2:9: error: id must be text, not a sequence", id="id-sequence"),
+    pytest.param(CONCERN + "    statement: {s: 1}\n",
+                 "5:16: error: statement must be text, not a mapping", id="statement-mapping"),
+    pytest.param(CONCERN + "    entity_refs: [[a]]\n",
+                 "5:18: error: each entity_refs item must be text, not a sequence",
+                 id="entity-ref-sequence"),
+    pytest.param("meta:\n  name: [x]\n", "2:9: error: name must be text, not a sequence",
+                 id="meta-name-sequence"),
+    pytest.param("meta: {name: shop, version: {major: 1}}\n",
+                 "1:29: error: version must be text, not a mapping", id="meta-version-mapping"),
+    pytest.param("x: &deep " + "[" * DEEP + "]" * DEEP + "\nmeta: {name: *deep}\n",
+                 "1:4: error: name must be text, not a sequence", id="meta-name-deep-alias"),
+    pytest.param("entities:\n  - <<: {kind: microservice, name: cart}\n    name: [a]\n",
+                 "3:11: error: name must be text, not a sequence", id="explicit-key-after-merge"),
+    pytest.param("entities:\n  - <<: {kind: microservice, name: [a]}\n    attributes: {}\n",
+                 "2:36: error: name must be text, not a sequence", id="merged-key"),
+]
+
+
+@pytest.mark.parametrize("text, expected", DECLARATION_ERRORS)
+def test_declaration_error_is_located_at_the_key_at_fault(text, expected):
+    repo, diagnostics = parse_text(text)
+    errors = [str(d) for d in diagnostics if d.severity == "error"]
+    assert (repo, errors) == (None, ["repo.ea.yaml:" + expected])
+
+
+def test_scalar_text_fields_read_as_their_text():
+    repo, diagnostics = parse_text(
+        "meta: {name: 7, version: 1.5}\n"
+        "entities:\n  - {kind: microservice, name: 42}\n"
+        "concerns:\n  - {id: 3, view: consumer, statement: 2024-01-31, entity_refs: [microservice.42]}\n"
+    )
+    assert diagnostics == []
+    assert (repo.name, repo.version, list(repo.entities)) == ("7", "1.5", ["microservice.42"])
+    assert (repo.concerns["3"].statement, repo.concerns["3"].entity_refs) == (
+        "2024-01-31", ["microservice.42"]
+    )

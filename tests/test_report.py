@@ -1,7 +1,7 @@
 import json
 
 from w6hea.analysis import ValueGraph, build_value_graph, coverage_matrix, value_scores
-from w6hea.model import Repository
+from w6hea.model import Concern, Repository, View, ViewCell
 from w6hea.report import (
     export_findings_json,
     export_graph_dot,
@@ -9,6 +9,18 @@ from w6hea.report import (
     render_matrix,
 )
 from w6hea.validation import Finding, validate
+
+COMPLIANT_MATRIX = """\
+| View | People (who) | Data (what) | Selection (which) | Network (where) | Function (How) | Motivation (Why) | Time (when) |
+| --- | --- | --- | --- | --- | --- | --- | --- |
+| Scope (Ballpark View) | empty (0) | filled (1) | empty (0) | partial (1) | filled (1) | filled (1) | empty (0) |
+| Business Model (Owner's View) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) |
+| System Model (Designer's View) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) |
+| Technology Model (Builder's View) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) | empty (0) |
+| Detailed Representations (Consumer's View) | empty (0) | &#8212; | &#8212; | &#8212; | &#8212; | &#8212; | &#8212; |
+
+Coverage: 4/29 cells hold concerns.
+"""
 
 
 class TestMatrix:
@@ -36,6 +48,12 @@ class TestMatrix:
         assert "Scope (Ballpark View)" in text
         assert "Detailed Representations (Consumer's View)" in text
         assert "Coverage: 4/29" in text
+
+    def test_exact_text_with_the_merged_consumer_row(self, compliant_repo):
+        assert render_matrix(coverage_matrix(compliant_repo)) == COMPLIANT_MATRIX
+        compliant_repo.add_concern(Concern("consumer.sdk", ViewCell(View.CONSUMER)))
+        expected = COMPLIANT_MATRIX.replace("View) | empty (0) | &#8212;", "View) | partial (1) | &#8212;")
+        assert render_matrix(coverage_matrix(compliant_repo)) == expected.replace("4/29", "5/29")
 
     def test_deterministic(self, compliant_repo):
         matrix = coverage_matrix(compliant_repo)

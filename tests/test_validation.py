@@ -145,3 +145,27 @@ class TestPrecedence:
         repo.add_concern(Concern("c1", ViewCell(View.SCOPE, I.HOW)))
         repo.add_concern(Concern("c2", ViewCell(View.SCOPE, I.HOW), "second"))
         assert len(check_precedence(repo)) == 1
+
+    def test_exact_findings_beside_the_merged_cell(self):
+        repo = Repository()
+        for idx, cell in enumerate([
+            ViewCell(View.CONSUMER),
+            ViewCell(View.SCOPE, I.HOW),  # what alone satisfies neither alternative
+            ViewCell(View.SCOPE, I.WHAT),
+            ViewCell(View.OWNER, I.WHERE),  # when needs how as well
+            ViewCell(View.OWNER, I.WHEN),
+            ViewCell(View.DESIGNER, I.WHAT),  # designer/how is satisfied
+            ViewCell(View.DESIGNER, I.WHICH),
+            ViewCell(View.DESIGNER, I.HOW),
+        ]):
+            repo.add_concern(Concern(f"c{idx}", cell))
+        findings = check_precedence(repo)
+        assert [(f.rule_id, f.severity, f.subject, f.message) for f in findings] == [
+            ("PRECEDENCE_VIOLATION", "warning", "owner/when",
+             "cell owner/when holds concerns but its prerequisites {how, where} "
+             "are not answered within the owner view"),
+            ("PRECEDENCE_VIOLATION", "warning", "scope/how",
+             "cell scope/how holds concerns but its prerequisites {what, which} "
+             "or {what, where} are not answered within the scope view"),
+        ]
+        assert validate(repo) == findings
