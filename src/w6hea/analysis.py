@@ -21,6 +21,7 @@ from .model import (
     cells,
     slugify,
 )
+from .repofmt import YamlLoader
 
 
 class UnknownView(ValueError):
@@ -86,7 +87,7 @@ class ElicitationPlan:
 @functools.cache
 def prompt_catalog() -> dict:
     text = resources.files("w6hea.data").joinpath("prompts.yaml").read_text("utf-8")
-    return yaml.safe_load(text)
+    return yaml.load(text, Loader=YamlLoader)
 
 
 def elicitation_plan(repo: Repository, view: Optional[View] = None) -> ElicitationPlan:

@@ -10,6 +10,7 @@ never raises on malformed input.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,7 +79,7 @@ _ALIAS_LIMIT = 100_000  # values aliases may add to one document once expanded
 _NESTING_LIMIT = 100  # collections one document may nest, the top-level one included
 
 # libyaml scans and parses; the pure-Python classes are the fallback where
-# PyYAML was built without it.  Writing stays on PyYAML's Python emitter.
+# PyYAML was built without it.  Writing never uses libyaml.
 if yaml.__with_libyaml__:
     from yaml.cyaml import CParser as _Parser
 else:
@@ -190,17 +191,22 @@ class _Invalid(Exception):
     the field at fault, or None for the declaration as a whole."""
 
 
+_NOT_TEXT = {list: "a sequence", dict: "a mapping", set: "a mapping", bytes: "binary"}
+
+
 def _text(value, key: str, what: str = "") -> Optional[str]:
-    """A scalar ``value`` as text, None as None.  A collection, which ``str``
-    would turn into its Python repr, is an error at the value of ``key``."""
-    if isinstance(value, (list, dict, set)):
-        shape = "sequence" if isinstance(value, list) else "mapping"
-        raise _Invalid(f"{what or key} must be text, not a {shape}", key)
+    """A scalar ``value`` as text, None as None.  A collection or binary data,
+    which ``str`` would turn into its Python repr, is an error at the value of
+    ``key``."""
+    if type(value) in _NOT_TEXT:
+        raise _Invalid(f"{what or key} must be text, not {_NOT_TEXT[type(value)]}", key)
     return None if value is None else str(value)
 
 
 def _meta(fields: dict) -> dict:
-    return {key: _text(fields[key], key) for key in ("name", "version") if key in fields}
+    """``name`` and ``version`` as text; a null one is absent."""
+    meta = {key: _text(fields.get(key), key) for key in ("name", "version")}
+    return {key: value for key, value in meta.items() if value is not None}
 
 
 def _entity(fields: dict) -> Entity:
@@ -348,12 +354,19 @@ def parse_repository(
     return repo, diagnostics
 
 
-class _CanonicalDumper(yaml.SafeDumper):
-    """Writes a shared value as copies, never as an anchor and aliases, and a
-    string holding U+0085 double-quoted, where it is escaped as ``\\N``."""
+class _CanonicalWriter(yaml.SafeDumper):
+    """Writes a value as ``SafeDumper`` does with sorted keys, Unicode, block
+    style and width 100, but never with anchors and aliases, and with a string
+    holding U+0085 double-quoted, where it is escaped as ``\\N``.  The emitter's
+    own rules choose each scalar's style and tag, and its writers fold what does
+    not fit; in place of the serializer and the emitter's event states, one loop
+    takes pending steps off a stack, so deep values cannot exhaust the call stack.
+    """
 
-    def ignore_aliases(self, data):
-        return True
+    def __init__(self):
+        super().__init__(io.StringIO(), allow_unicode=True, width=100)
+        self.tag_prefixes = dict(self.DEFAULT_TAG_PREFIXES)
+        self.forms, self.tags, self.steps = {}, {}, []
 
     def analyze_scalar(self, scalar):
         analysis = super().analyze_scalar(scalar)
@@ -361,6 +374,99 @@ class _CanonicalDumper(yaml.SafeDumper):
             analysis.allow_flow_plain = analysis.allow_block_plain = False
             analysis.allow_single_quoted = analysis.allow_block = False
         return analysis
+
+    def dump(self, data) -> str:
+        self.node(data, -2, False)  # the top-level mapping is at indent 0
+        while self.steps:  # "-" and an item, ":" and the value of a ``? key``, or None and a pair
+            indent, indicator, value = self.steps.pop()
+            self.indent = indent
+            self.write_indent()
+            if indicator:
+                self.write_indicator(indicator, True, indention=True)
+                self.node(value, indent, indicator == ":")
+            else:
+                self.entry(*value, indent)
+        self.indent = 0
+        self.write_indent()
+        return self.stream.getvalue()
+
+    def node(self, value, indent: int, in_mapping: bool) -> None:
+        """Write ``value`` inside a collection at ``indent``; a collection
+        pushes its entries as steps."""
+        kind = type(value)
+        if kind not in (dict, list, set, tuple):
+            return self.scalar(self.form(value), indent + 2, False)
+        if kind is set:
+            self.write_indicator("!!set", True)
+            value, kind = dict.fromkeys(value), dict
+        if kind is dict:
+            items, indicator, indent = list(value.items()), None, indent + 2
+            try:
+                items = sorted(items)
+            except TypeError:  # keys that do not compare keep their order
+                pass
+        else:
+            items, indicator = value, "-"
+            indent += 2 if self.indention or not in_mapping else 0
+        if not items:  # written in flow style
+            self.write_indicator("[" if indicator else "{", True, whitespace=True)
+            return self.write_indicator("]" if indicator else "}", False)
+        self.steps += [(indent, indicator, item) for item in reversed(items)]
+
+    def entry(self, key, value, indent: int) -> None:
+        form = None if type(key) is tuple else self.form(key)
+        if form and form[3]:
+            self.scalar(form, indent + 2, True)
+        elif form is None and not key:  # an empty sequence is a simple key
+            self.node(key, indent, True)
+        else:
+            self.write_indicator("?", True, indention=True)
+            self.steps.append((indent, ":", value))
+            return self.node(key, indent, True)
+        self.write_indicator(":", False)
+        self.node(value, indent, True)
+
+    def scalar(self, form: tuple, indent: int, simple_key: bool) -> None:
+        text, tag, style, _, inline = form
+        if tag:
+            self.write_indicator(tag, True)
+        if inline and (simple_key or self.column + 1 + len(inline) <= self.best_width):
+            data = inline if self.whitespace else " " + inline  # too short to fold
+            self.column += len(data)
+            self.whitespace = self.indention = False
+            return self.stream.write(data)
+        self.indent = indent
+        if style == "|":
+            return self.write_literal(text)
+        write = {"": self.write_plain, "'": self.write_single_quoted}.get(style)
+        (write or self.write_double_quoted)(text, not simple_key)
+
+    def form(self, value) -> tuple:
+        """``(text, tag, style, simple, inline)``: a scalar's text, the tag written
+        before it or None, its style (the same as a value and as a simple key),
+        whether it may be a simple key, and its text as written unless folded
+        (None when the emitter's writer must write it)."""
+        if type(value) is str:
+            if value in self.forms:
+                return self.forms[value]
+            key, tag, text, hint = value, self.DEFAULT_SCALAR_TAG, value, None
+        else:
+            represent = self.yaml_representers.get(type(value)) or self.yaml_representers[None]
+            node = represent(self, value)
+            key = tag, text, hint = node.tag, node.value, node.style
+        if key not in self.forms:
+            self.analysis = analysis = self.analyze_scalar(text)
+            detected = self.resolve(yaml.ScalarNode, text, (True, False))
+            implicit = detected == tag, self.DEFAULT_SCALAR_TAG == tag
+            self.event = yaml.ScalarEvent(None, tag, implicit, text, style=hint)
+            if tag not in self.tags:
+                self.tags[tag] = self.prepare_tag(tag)
+            style, short = self.choose_scalar_style(), self.tags[tag]
+            simple = len(short) + len(text) < 128 and not (analysis.empty or analysis.multiline)
+            inline = {"": text, "'": "'%s'" % text.replace("'", "''")}.get(style)
+            written_tag = None if implicit[style != ""] else short
+            self.forms[key] = text, written_tag, style, simple, None if analysis.multiline else inline
+        return self.forms[key]
 
 
 def serialize_repository(repo: Repository) -> str:
@@ -379,10 +485,7 @@ def serialize_repository(repo: Repository) -> str:
             _concern_data(repo.concerns[cid]) for cid in sorted(repo.concerns)
         ],
     }
-    return yaml.dump(
-        data, Dumper=_CanonicalDumper, sort_keys=True, allow_unicode=True,
-        default_flow_style=False, width=100,
-    )
+    return _CanonicalWriter().dump(data)
 
 
 def _entity_data(e: Entity) -> dict:

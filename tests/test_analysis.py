@@ -1,6 +1,8 @@
 import random
+from importlib import resources
 
 import pytest
+import yaml
 
 from w6hea.analysis import (
     UnknownView,
@@ -9,6 +11,7 @@ from w6hea.analysis import (
     cluster_graph,
     coverage_matrix,
     elicitation_plan,
+    prompt_catalog,
     retirement_candidates,
     reuse_candidates,
     value_scores,
@@ -141,6 +144,10 @@ class TestElicitation:
         ]
         expected = [(v, i) for v in range(1, 5) for i in range(1, 8)] + [(5, 0)]
         assert order == expected
+
+    def test_catalog_is_what_the_safe_loader_reads(self):
+        text = resources.files("w6hea.data").joinpath("prompts.yaml").read_text("utf-8")
+        assert prompt_catalog() == yaml.safe_load(text)
 
     def test_consumer_view_single_prompt(self):
         plan = elicitation_plan(Repository(), View.CONSUMER)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 import yaml
 from hypothesis import given
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from test_ingest_properties import PROPERTY_SETTINGS, yaml_values
 from test_ingest_properties import pytestmark as hypothesis_warning_filter
-from w6hea.model import Entity, Interrogative, Repository, View, ViewCell
+from w6hea.model import FIELD_NESTING_LIMIT, Entity, Interrogative, Repository, View, ViewCell, nesting
 from w6hea.repofmt import SourceDocument, parse_repository, serialize_repository
 
 
@@ -406,6 +408,26 @@ def test_value_at_the_nesting_bound_round_trips_deep_in_the_stack():
     assert at_stack_depth(400, round_trip) == round_trip()
 
 
+def frames_left() -> int:
+    """How many more frames the call stack takes before the recursion limit."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return sys.getrecursionlimit() - depth
+
+
+def test_value_at_the_field_bound_is_written_with_few_frames_left():
+    tech_stack = []
+    for _ in range(FIELD_NESTING_LIMIT - 2):
+        tech_stack = [tech_stack]
+    repo = Repository()
+    repo.add_entity(Entity("microservice", "cart", {"tech_stack": tech_stack}))
+    assert nesting(repo.entities["microservice.cart"].attributes) == FIELD_NESTING_LIMIT
+    text = at_stack_depth(frames_left() - 60, lambda: serialize_repository(repo))
+    assert text == serialize_repository(repo)
+    assert parse_text(text) == (repo, [])
+
+
 def test_one_level_past_the_nesting_bound_is_a_located_error():
     repo, diagnostics = parse_text(nested_entity(NESTING_LIMIT + 1))
     assert repo is None
@@ -508,6 +530,16 @@ DECLARATION_ERRORS = [
                  "1:29: error: version must be text, not a mapping", id="meta-version-mapping"),
     pytest.param("x: &deep " + "[" * DEEP + "]" * DEEP + "\nmeta: {name: *deep}\n",
                  "1:4: error: name must be text, not a sequence", id="meta-name-deep-alias"),
+    pytest.param(ENTITY.replace("cart", "!!binary aGk="), "3:11: error: name must be text, not binary",
+                 id="name-binary"),
+    pytest.param("links:\n  - {kind: exposes, source: api.a, target: !!binary bQ==}\n",
+                 "2:44: error: target must be text, not binary", id="target-binary"),
+    pytest.param(CONCERN + "    statement: !!binary aGk=\n",
+                 "5:16: error: statement must be text, not binary", id="statement-binary"),
+    pytest.param(CONCERN + "    entity_refs: [!!binary aGk=]\n",
+                 "5:18: error: each entity_refs item must be text, not binary", id="entity-ref-binary"),
+    pytest.param("meta: {name: shop, version: !!binary MQ==}\n",
+                 "1:29: error: version must be text, not binary", id="meta-version-binary"),
     pytest.param("entities:\n  - <<: {kind: microservice, name: cart}\n    name: [a]\n",
                  "3:11: error: name must be text, not a sequence", id="explicit-key-after-merge"),
     pytest.param("entities:\n  - <<: {kind: microservice, name: [a]}\n    attributes: {}\n",
@@ -520,6 +552,16 @@ def test_declaration_error_is_located_at_the_key_at_fault(text, expected):
     repo, diagnostics = parse_text(text)
     errors = [str(d) for d in diagnostics if d.severity == "error"]
     assert (repo, errors) == (None, ["repo.ea.yaml:" + expected])
+
+
+def test_null_in_meta_reads_as_absent():
+    repo, diagnostics = parse_text("meta: {name: null, version: null}\n")
+    assert diagnostics == []
+    assert (repo.name, repo.version) == ("repository", "0")
+    first = SourceDocument("a.ea.yaml", "meta: {name: ~, version: '2'}\n")
+    second = SourceDocument("b.ea.yaml", "meta: {name: shop, version: '3'}\n")
+    repo, _ = parse_repository([first, second])
+    assert (repo.name, repo.version) == ("shop", "2")
 
 
 def test_scalar_text_fields_read_as_their_text():

@@ -1,11 +1,13 @@
 """The loader runs on libyaml where PyYAML has it, and then agrees with the
-pure-Python build of the same module; the canonical text parses back.
+pure-Python build of the same module; the canonical text parses back and is
+what PyYAML's own emitter writes.
 
 ``pure`` is ``w6hea.repofmt`` executed a second time while PyYAML reports no
 libyaml, so its ``YamlLoader`` is the fallback class: the same composer and
 constructor on PyYAML's Python reader, scanner and parser.
 """
 
+import datetime
 import importlib.util
 
 import pytest
@@ -95,6 +97,26 @@ finite_values = st.recursive(  # NaN is not equal to itself, so no round trip ho
 )
 fields = st.dictionaries(st.text(max_size=4), finite_values, max_size=2)
 
+# Every scalar type the safe loader constructs, as values and as keys.
+timezones = st.sampled_from(
+    [None, datetime.timezone.utc, datetime.timezone(datetime.timedelta(hours=-3))]
+)
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.binary(max_size=60)
+    | st.dates() | st.datetimes(timezones=timezones)
+)
+keys = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+    | st.dates()
+)
+any_values = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(keys, children, max_size=3)
+    | st.sets(keys, max_size=3),
+    max_leaves=8,
+)
+
 
 def added(adder, items) -> None:
     for item in items:
@@ -105,8 +127,9 @@ def added(adder, items) -> None:
 
 
 @st.composite
-def repositories(draw) -> Repository:
-    """What the adders accept of drawn entities, then concerns, then links."""
+def repositories(draw, fields=fields) -> Repository:
+    """What the adders accept of drawn entities, then concerns, then links,
+    whose attributes and records are drawn from ``fields``."""
     repo = Repository(name=draw(st.text(max_size=6)), version=draw(st.text(max_size=3)))
     entities = st.builds(Entity, st.sampled_from(ENTITY_KINDS), names, fields)
     added(repo.add_entity, draw(st.lists(entities, max_size=6)))
@@ -144,3 +167,73 @@ def with_attributes(attributes) -> Repository:
 def test_canonical_text_parses_back(repo):
     text = serialize_repository(repo)
     assert parse_repository([SourceDocument("repo.ea.yaml", text)])[0] == repo
+
+
+class ReferenceDumper(yaml.SafeDumper):
+    """PyYAML's safe emitter as the canonical text once used it: a shared value
+    is written as copies, and a string holding U+0085 is double-quoted."""
+
+    def ignore_aliases(self, data):
+        return True
+
+    def analyze_scalar(self, scalar):
+        analysis = super().analyze_scalar(scalar)
+        if "\x85" in scalar:
+            analysis.allow_flow_plain = analysis.allow_block_plain = False
+            analysis.allow_single_quoted = analysis.allow_block = False
+        return analysis
+
+
+def reference_text(repo: Repository) -> str:
+    def entity(e):
+        return {"kind": e.kind, "name": e.name, **({"attributes": e.attributes} if e.attributes else {})}
+
+    def concern(c):
+        data = {"id": c.id, "view": c.cell.view.value, "statement": c.statement,
+                "entity_refs": c.entity_refs, "records": c.records}
+        if c.cell.interrogative is not None:
+            data["interrogative"] = c.cell.interrogative.value
+        return {key: value for key, value in data.items() if value}  # id and view are never empty
+
+    data = {
+        "meta": {"name": repo.name, "version": repo.version},
+        "entities": [entity(repo.entities[eid]) for eid in sorted(repo.entities)],
+        "links": [
+            {"kind": l.kind, "source": l.source, "target": l.target, "weight": l.weight}
+            for l in (repo.links[lid] for lid in sorted(repo.links))
+        ],
+        "concerns": [concern(repo.concerns[cid]) for cid in sorted(repo.concerns)],
+    }
+    return yaml.dump(
+        data, Dumper=ReferenceDumper, sort_keys=True, allow_unicode=True,
+        default_flow_style=False, width=100,
+    )
+
+
+def with_statement(statement: str) -> Repository:
+    repo = with_attributes({})
+    repo.add_concern(Concern("c1", cells()[0], statement, ["microservice.cart"]))
+    return repo
+
+
+FOLDED = " ".join(f"word{i:02}" for i in range(43))  # 300 characters
+
+
+@hypothesis_warning_filter
+@PROPERTY_SETTINGS
+@given(repositories(st.dictionaries(keys, any_values, max_size=2)))
+@example(with_attributes({"": 1, "\r": 2, "a" * 122: 3, "b" * 123: 4, "c" * 125: 5, "d" * 130: 6}))
+@example(with_attributes({"é" * 65: "é" * 65, "🚀": "🚀", "\x85": "\x85", " ": "\xa0", "\u2028": "a b"}))
+@example(with_attributes({"tech_stack": ["1", "true", "null", "2020-01-01", " lead", "trail ", "~"]}))
+@example(with_statement(FOLDED))
+@example(with_attributes({"tech_stack": [n * "x" + " y" for n in range(90, 100)]}))  # fold or not
+@example(with_attributes({"tech_stack": [n * "'" + " y" for n in range(44, 50)]}))
+@example(with_statement(FOLDED.replace("word", "it's")))
+@example(with_attributes({"tech_stack": [-0.0, float("inf"), float("-inf"), float("nan"), 1e300]}))
+@example(with_attributes({
+    "owner": datetime.datetime(2020, 1, 1, 12, 30, tzinfo=datetime.timezone.utc),
+    "tech_stack": [b"binary", {"a", "b"}, [[], {}, [[]], {"x": {}}]],
+}))
+@example(with_attributes({"tech_stack": {1: "a", "b": "c"}}))
+def test_canonical_text_is_what_the_safe_emitter_writes(repo):
+    assert serialize_repository(repo) == reference_text(repo)
