@@ -14,6 +14,7 @@ from typing import Optional
 import yaml
 
 from .model import (
+    SERVICE_KINDS,
     Interrogative,
     Repository,
     View,
@@ -179,7 +180,7 @@ def value_scores(repo: Repository, weights: Optional[dict] = None) -> dict[str, 
     """
     w = _view_weights(weights)
     scores: dict[str, float] = {
-        e.id: 0.0 for e in repo.entities.values() if e.kind in ("microservice", "api")
+        e.id: 0.0 for e in repo.entities.values() if e.kind in SERVICE_KINDS
     }
 
     refs_by_entity: dict[str, list] = {}

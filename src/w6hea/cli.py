@@ -123,13 +123,6 @@ def _config_number(config: dict, key: str, convert, default):
         raise UsageError(f"config value {key} = {config[key]!r} is not a valid {convert.__name__}")
 
 
-def _existing_file(raw: str) -> str:
-    if not Path(raw).exists() or Path(raw).is_dir():
-        problem = "is a directory" if Path(raw).is_dir() else "does not exist"
-        raise argparse.ArgumentTypeError(f"File {raw!r} {problem}.")
-    return raw
-
-
 def validate(args) -> None:
     """Run the structural rule catalog; exit 1 on error findings."""
     from . import validation
@@ -171,13 +164,14 @@ def ingest_documents(args) -> None:
 
     ``openapi`` reads an OpenAPI 3.x document, ``k8s`` Kubernetes manifests
     (multi-document YAML)."""
+    document = _read(args.file)
     from . import ingest
 
     if args.kind == "openapi":
-        proposal, diags = ingest.ingest_openapi(_read(args.file))
+        proposal, diags = ingest.ingest_openapi(document)
     else:
         target = _load_repo(args.repo) if args.repo else None
-        proposal, diags = ingest.ingest_k8s([_read(args.file)], target)
+        proposal, diags = ingest.ingest_k8s([document], target)
     _report(diags)
     repo = _load_repo(args.repo) if args.repo else Repository()
     strategy = "overwrite_attributes" if args.merge == "overwrite" else "add_only"
@@ -263,7 +257,7 @@ COMMANDS = {
     "matrix": (matrix, PATHS, _arg("--out", help="Write matrix.md here instead of stdout.")),
     "elicit": (elicit, PATHS, _arg("--view", choices=[v.value for v in View])),
     "ingest": (ingest_documents, _arg("kind", choices=("openapi", "k8s")),
-               _arg("file", metavar="FILE", type=_existing_file),
+               _arg("file", metavar="FILE"),
                _arg("--repo", action="append", default=[],
                     help="Repository file(s) to merge the proposal into."),
                _arg("--merge", choices=("add-only", "overwrite"), default="add-only",

@@ -20,6 +20,7 @@ from .model import (
     Repository,
     View,
     ViewCell,
+    entity_id,
     slugify,
     unknown_attributes,
 )
@@ -241,7 +242,7 @@ def ingest_k8s(
     if repo is not None:
         known_ms = {e.id for e in repo.entities_of_kind("microservice")}
     for app, target_id in pending_links:
-        ms_id = f"microservice.{slugify(app)}"
+        ms_id = entity_id("microservice", app)
         if ms_id in known_ms:
             proposal.links.append(Link(kind="deployed_on", source=ms_id, target=target_id))
 

@@ -8,8 +8,8 @@ order is the grid's one ordering: rows scope..consumer, columns who..when.
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -72,18 +72,24 @@ class Interrogative(str, Enum):
     rank = property(_declaration_rank)
 
     @property
+    def label(self) -> str:
+        return _INTERROGATIVE_LABEL[self]
+
+    @property
     def alias(self) -> str:
-        return _INTERROGATIVE_ALIAS[self]
+        """The label's first word, lower-cased: people, data, ..., time."""
+        return self.label.split()[0].lower()
 
 
-_INTERROGATIVE_ALIAS = {
-    Interrogative.WHO: "people",
-    Interrogative.WHAT: "data",
-    Interrogative.WHICH: "selection",
-    Interrogative.WHERE: "network",
-    Interrogative.HOW: "function",
-    Interrogative.WHY: "motivation",
-    Interrogative.WHEN: "time",
+# Column labels as the paper writes them: the alias, then the interrogative.
+_INTERROGATIVE_LABEL = {
+    Interrogative.WHO: "People (who)",
+    Interrogative.WHAT: "Data (what)",
+    Interrogative.WHICH: "Selection (which)",
+    Interrogative.WHERE: "Network (where)",
+    Interrogative.HOW: "Function (How)",
+    Interrogative.WHY: "Motivation (Why)",
+    Interrogative.WHEN: "Time (when)",
 }
 
 # Prerequisite formulas in disjunctive form: asking ``q`` is justified once
@@ -226,6 +232,9 @@ ENTITY_KINDS = (
     "code_sample",
 )
 
+# The kinds concerns motivate, whose stakeholder value the analyses score.
+SERVICE_KINDS = ("microservice", "api")
+
 MICROSERVICE_CATEGORIES = ("presentation", "system", "integrity")
 API_EXPOSURES = ("internal", "external")
 DATA_PATTERNS = ("event_sourcing", "side_car")
@@ -256,17 +265,16 @@ LINK_SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "owns_data": (("microservice",), ("data_element",)),
     "resides_at": (("microservice", "deployment_target"), ("location",)),
     "deployed_on": (("microservice",), ("deployment_target",)),
-    "motivated_by": (("microservice", "api"), ("concern",)),
-    "scheduled_on": (("microservice", "api"), ("business_cycle",)),
-    "implements_rule": (("microservice", "api"), ("business_rule",)),
+    "motivated_by": (SERVICE_KINDS, ("concern",)),
+    "scheduled_on": (SERVICE_KINDS, ("business_cycle",)),
+    "implements_rule": (SERVICE_KINDS, ("business_rule",)),
     "serves": (("api",), ("organization",)),
-    "documents": (("sdk", "code_sample"), ("microservice", "api")),
+    "documents": (("sdk", "code_sample"), SERVICE_KINDS),
 }
 
 
 # Collections an entity's attributes or a concern's records may nest, themselves
-# included.  A repository file holds both three levels down, so a repository
-# the model accepts is always written within the file format's 100 levels.
+# included.
 FIELD_NESTING_LIMIT = 97
 
 
@@ -356,6 +364,8 @@ class Repository:
         eid = e.id
         if eid in self.entities:
             raise DuplicateEntity(f"entity {eid!r} already exists")
+        if eid in self.concerns:  # entity and concern ids share one namespace
+            raise DuplicateEntity(f"entity {eid!r}: a concern already has this id")
         self.check_entity(e)
         self.entities[eid] = e
         return eid
@@ -391,9 +401,11 @@ class Repository:
         if l.kind not in LINK_SIGNATURES:
             yield KindMismatch, f"unknown link kind {l.kind!r}"
             return
-        if l.weight < 0:
+        if isinstance(l.weight, bool) or not isinstance(l.weight, (int, float)):
+            yield NegativeWeight, f"link {l.id!r} has weight {l.weight!r}, not a number"
+        elif l.weight < 0:
             yield NegativeWeight, f"link {l.id!r} has negative weight {l.weight}"
-        elif not math.isfinite(l.weight):
+        elif not l.weight <= sys.float_info.max:  # NaN, infinity, or an int past any float
             yield NegativeWeight, f"link {l.id!r} has non-finite weight {l.weight}"
         source_kinds, target_kinds = LINK_SIGNATURES[l.kind]
         src = self.entities.get(l.source)
@@ -418,6 +430,8 @@ class Repository:
     def add_concern(self, c: Concern) -> str:
         if c.id in self.concerns:
             raise DuplicateEntity(f"concern {c.id!r} already exists")
+        if c.id in self.entities:
+            raise DuplicateEntity(f"concern {c.id!r}: an entity already has this id")
         self.check_concern(c)
         self.concerns[c.id] = c
         return c.id

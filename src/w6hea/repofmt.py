@@ -23,6 +23,7 @@ from yaml.resolver import Resolver
 from yaml.scanner import Scanner
 
 from .model import (
+    FIELD_NESTING_LIMIT,
     Concern,
     Entity,
     Interrogative,
@@ -76,7 +77,10 @@ def undecodable(path, exc: UnicodeDecodeError) -> Diagnostic:
 
 
 _ALIAS_LIMIT = 100_000  # values aliases may add to one document once expanded
-_NESTING_LIMIT = 100  # collections one document may nest, the top-level one included
+# Collections one document may nest, the top-level one included.  A file holds
+# attributes and records three levels down (document, section, declaration), so
+# every repository the model accepts is written within this bound.
+_NESTING_LIMIT = FIELD_NESTING_LIMIT + 3
 
 # libyaml scans and parses; the pure-Python classes are the fallback where
 # PyYAML was built without it.  Writing never uses libyaml.
@@ -224,11 +228,12 @@ def _link(fields: dict) -> Link:
     if kind is None or source is None or target is None:
         raise _Invalid("link requires 'kind', 'source' and 'target'", None)
     weight = fields.get("weight", 1.0)
-    try:
-        weight = float(weight)
-    except (TypeError, ValueError, OverflowError):
-        raise _Invalid(f"link weight must be a number, got {weight!r}", "weight")
-    return Link(kind=kind, source=source, target=target, weight=weight)
+    if not isinstance(weight, (bool, bytes)):  # float() reads true as 1.0, b'0.5' as 0.5
+        try:
+            return Link(kind=kind, source=source, target=target, weight=float(weight))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _Invalid(f"link weight must be a number, got {weight!r}", "weight")
 
 
 def _concern(fields: dict) -> Concern:
@@ -327,8 +332,7 @@ def parse_repository(
                 else:
                     report("error", doc.path, value_node, "expected a sequence")
 
-    name, version = meta.get("name", "repository"), meta.get("version", "0")
-    repo = Repository(name=str(name), version=str(version))
+    repo = Repository(**meta)  # a name or version no file gives keeps its default
 
     def add(adder, item, location) -> bool:
         try:

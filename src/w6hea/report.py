@@ -15,17 +15,6 @@ if TYPE_CHECKING:  # annotations only: rendering needs neither layer loaded
     from .analysis import CoverageMatrix, ValueGraph
     from .validation import Finding
 
-# Paper-style column headers: alias capitalized, interrogative in parentheses.
-COLUMN_HEADERS = {
-    Interrogative.WHO: "People (who)",
-    Interrogative.WHAT: "Data (what)",
-    Interrogative.WHICH: "Selection (which)",
-    Interrogative.WHERE: "Network (where)",
-    Interrogative.HOW: "Function (How)",
-    Interrogative.WHY: "Motivation (Why)",
-    Interrogative.WHEN: "Time (when)",
-}
-
 # Node shape per kind in DOT exports.
 DOT_SHAPES = {
     "microservice": "box",
@@ -44,7 +33,7 @@ def render_matrix(matrix: CoverageMatrix) -> str:
     """Markdown table: one row per view over the seven columns, the merged
     consumer row padded with dashes; each cell shows status and concern count."""
     width = len(Interrogative)
-    lines = ["| View | " + " | ".join(COLUMN_HEADERS[i] for i in Interrogative) + " |"]
+    lines = ["| View | " + " | ".join(i.label for i in Interrogative) + " |"]
     lines.append("|" + " --- |" * (width + 1))
     # matrix.cells is in cells() order, so each view's cells are adjacent.
     for view, row in itertools.groupby(matrix.cells, key=lambda cc: cc.cell.view):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .model import (
     PREREQUISITES,
+    SERVICE_KINDS,
     Interrogative,
     Repository,
     ViewCell,
@@ -28,7 +29,7 @@ class Finding:
 
 def _services_and_apis(repo: Repository):
     for e in repo.entities.values():
-        if e.kind in ("microservice", "api"):
+        if e.kind in SERVICE_KINDS:
             yield e
 
 

@@ -343,3 +343,9 @@ def test_non_finite_view_weight_is_rejected(weight):
     repo.add_entity(Entity("microservice", "cart"))
     with pytest.raises(ValueError):
         value_scores(repo, {"owner": weight})
+
+
+def test_value_graph_adds_no_self_loop():
+    g = ValueGraph()
+    g.add_edge("a", "a")
+    assert g.edge_weights == {}

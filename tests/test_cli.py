@@ -303,6 +303,24 @@ def test_analyze_reuse_prints_each_candidate(tmp_path):
     assert (result.exit_code, result.stdout, result.stderr) == (0, "microservice.cart\t2\n", "")
 
 
+def test_empty_weight_pair_is_skipped():
+    skipped = run("analyze", "scores", COMPLIANT, "--weights", "owner=2,,scope=1")
+    assert (skipped.exit_code, skipped.stderr) == (0, "")
+    assert skipped.stdout == run("analyze", "scores", COMPLIANT, "--weights", "owner=2,scope=1").stdout
+
+
+@pytest.mark.parametrize("kind", ["openapi", "k8s"])
+@pytest.mark.parametrize("where", ["missing.yaml", "."])
+def test_ingest_file_that_cannot_be_read_is_a_usage_error(tmp_path, kind, where):
+    path = tmp_path / where
+    with pytest.raises(OSError) as reason:
+        open(path, encoding="utf-8")
+    result = run("ingest", kind, path)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: ")
+    assert result.stderr.endswith(f": error: cannot read {path}: {reason.value}\n")
+
+
 def test_nan_weight_is_a_usage_error():
     result = run("analyze", "scores", COMPLIANT, "--weights", "owner=nan")
     assert result.exit_code == 2

@@ -406,3 +406,27 @@ def test_openapi_operation_with_two_response_codes():
         {"verb": "get", "path": "/a", "design_tech": "OpenAPI", "status_code": 200,
          "status_codes": ["200", "404"]},
     ]]
+
+
+@pytest.mark.parametrize("strategy", ["add_only", "overwrite_attributes"])
+def test_merge_reports_an_id_held_by_the_other_kind(compliant_repo, strategy):
+    from w6hea.ingest import IngestProposal
+    from w6hea.model import Concern, Entity
+
+    compliant_repo.add_concern(Concern("api.x", ViewCell(View.CONSUMER)))
+    proposal = IngestProposal(
+        entities=[Entity("api", "x")], concerns=[Concern("api.orders", ViewCell(View.CONSUMER))]
+    )
+    merged, diagnostics = merge_proposal(compliant_repo, proposal, strategy)
+    assert [(d.severity, d.message) for d in diagnostics] == [
+        ("error", "entity 'api.x': a concern already has this id"),
+        ("error", "concern 'api.orders': an entity already has this id"),
+    ]
+    assert "api.x" not in merged.entities and "api.orders" not in merged.concerns
+
+
+def test_unknown_merge_strategy_is_rejected():
+    from w6hea.ingest import IngestProposal
+
+    with pytest.raises(ValueError, match="unknown merge strategy 'replace'"):
+        merge_proposal(Repository(), IngestProposal(), "replace")

@@ -261,3 +261,63 @@ def test_integrity_scan_reports_a_dangling_concern_ref():
     assert repo.integrity_violations() == []
     del repo.entities["api.orders"]  # the adders never allow this; the scan still sees it
     assert repo.integrity_violations() == [("c1", "concern c1: dangling entity ref 'api.orders'")]
+
+
+class TestOneNamespace:
+    """An entity id and a concern id never name the same string."""
+
+    def test_concern_cannot_take_an_entity_id(self):
+        repo = Repository()
+        repo.add_entity(Entity("api", "x"))
+        with pytest.raises(DuplicateEntity) as info:
+            repo.add_concern(Concern("api.x", ViewCell(View.SCOPE, I.WHY), entity_refs=["api.x"]))
+        assert str(info.value) == "concern 'api.x': an entity already has this id"
+        assert repo.concerns == {}
+
+    def test_entity_cannot_take_a_concern_id(self):
+        repo = Repository()
+        repo.add_concern(Concern("api.x", ViewCell(View.CONSUMER)))
+        with pytest.raises(DuplicateEntity) as info:
+            repo.add_entity(Entity("api", "x"))
+        assert str(info.value) == "entity 'api.x': a concern already has this id"
+        assert repo.entities == {}
+
+
+class TestWeightIsANumber:
+    @pytest.mark.parametrize("weight", ["0.5", None, True, b"1"])
+    def test_weight_that_is_not_an_int_or_float_is_rejected(self, weight):
+        repo = Repository()
+        repo.add_entity(Entity("api", "orders"))
+        repo.add_entity(Entity("microservice", "cart"))
+        link = Link("exposes", "api.orders", "microservice.cart", weight=weight)
+        with pytest.raises(NegativeWeight) as info:
+            repo.add_link(link)
+        assert str(info.value) == f"link {link.id!r} has weight {weight!r}, not a number"
+        assert repo.links == {}
+
+    def test_int_no_float_can_hold_is_rejected(self):
+        repo = Repository()
+        repo.add_entity(Entity("api", "orders"))
+        repo.add_entity(Entity("microservice", "cart"))
+        with pytest.raises(NegativeWeight, match="has non-finite weight"):
+            repo.add_link(Link("exposes", "api.orders", "microservice.cart", weight=10**400))
+        assert repo.links == {}
+
+    @pytest.mark.parametrize("weight", [0, 2, 0.5])
+    def test_int_and_float_weights_are_accepted(self, weight):
+        repo = Repository()
+        repo.add_entity(Entity("api", "orders"))
+        repo.add_entity(Entity("microservice", "cart"))
+        assert repo.add_link(Link("exposes", "api.orders", "microservice.cart", weight=weight))
+
+
+def test_integrity_scan_reports_an_unknown_link_kind_once():
+    repo = Repository()
+    link = Link("calls", "api.gone", "api.gone", weight=-1)
+    repo.links[link.id] = link  # a hand edit that bypassed add_link
+    assert repo.integrity_violations() == [(link.id, f"link {link.id}: unknown link kind 'calls'")]
+
+
+def test_concern_without_a_view_cell_is_rejected():
+    with pytest.raises(InvalidCell, match="concern 'c1' has no valid cell"):
+        Repository().add_concern(Concern("c1", "scope/why"))

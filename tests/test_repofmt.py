@@ -484,6 +484,12 @@ DECLARATION_ERRORS = [
     pytest.param("links:\n  - kind: exposes\n    source: api.a\n    target: microservice.b\n"
                  "    weight: heavy\n", "5:13: error: link weight must be a number, got 'heavy'",
                  id="weight-not-a-number"),
+    pytest.param("links:\n  - kind: exposes\n    source: api.a\n    target: microservice.b\n"
+                 "    weight: true\n", "5:13: error: link weight must be a number, got True",
+                 id="weight-bool"),
+    pytest.param("links:\n  - kind: exposes\n    source: api.a\n    target: microservice.b\n"
+                 "    weight: !!binary MC41\n", "5:13: error: link weight must be a number, got b'0.5'",
+                 id="weight-binary"),
     pytest.param("concerns:\n  - view: scope\n", "2:5: error: concern requires 'id' and 'view'",
                  id="concern-without-id"),
     pytest.param("concerns:\n  - id: c1\n", "2:5: error: concern requires 'id' and 'view'",
@@ -575,3 +581,27 @@ def test_scalar_text_fields_read_as_their_text():
     assert (repo.concerns["3"].statement, repo.concerns["3"].entity_refs) == (
         "2024-01-31", ["microservice.42"]
     )
+
+
+def test_numeric_text_weight_reads_as_its_number():
+    repo, diagnostics = parse_text(
+        "entities:\n  - {kind: api, name: a}\n  - {kind: microservice, name: b}\n"
+        "links:\n  - {kind: exposes, source: api.a, target: microservice.b, weight: '0.5'}\n"
+    )
+    assert diagnostics == []
+    assert [l.weight for l in repo.links.values()] == [0.5]
+
+
+def test_a_concern_cannot_take_an_entity_id():
+    # Concerns are added after entities, so the concern is the one at fault;
+    # the link's target then names the API, which motivated_by cannot point at.
+    repo, diagnostics = parse_text(
+        "entities:\n  - {kind: api, name: x}\n  - {kind: microservice, name: m}\n"
+        "concerns:\n  - {id: api.x, view: scope, interrogative: why, entity_refs: [api.x]}\n"
+        "links:\n  - {kind: motivated_by, source: microservice.m, target: api.x}\n"
+    )
+    assert repo is None
+    assert [str(d) for d in diagnostics] == [
+        "repo.ea.yaml:5:5: error: concern 'api.x': an entity already has this id",
+        "repo.ea.yaml:7:5: error: motivated_by target must be one of ('concern',), got 'api' (api.x)",
+    ]

@@ -235,5 +235,6 @@ FOLDED = " ".join(f"word{i:02}" for i in range(43))  # 300 characters
     "tech_stack": [b"binary", {"a", "b"}, [[], {}, [[]], {"x": {}}]],
 }))
 @example(with_attributes({"tech_stack": {1: "a", "b": "c"}}))
+@example(with_attributes({"tech_stack": {(): "v"}}))  # an empty sequence is a simple key
 def test_canonical_text_is_what_the_safe_emitter_writes(repo):
     assert serialize_repository(repo) == reference_text(repo)
