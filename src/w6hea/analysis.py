@@ -25,10 +25,6 @@ from .model import (
 from .repofmt import YamlLoader
 
 
-class UnknownView(ValueError):
-    """A view-weight map names a view that does not exist."""
-
-
 # -- coverage ------------------------------------------------------------
 
 
@@ -162,7 +158,7 @@ def _view_weights(weights: Optional[dict]) -> dict[View, float]:
         try:
             view = key if isinstance(key, View) else View(str(key))
         except ValueError:
-            raise UnknownView(f"unknown view {key!r} in weights map") from None
+            raise ValueError(f"unknown view {key!r} in weights map") from None
         resolved[view] = float(value)
         if not 0 <= resolved[view] < math.inf:
             raise ValueError(f"view weight for {view.value!r} must be >= 0")

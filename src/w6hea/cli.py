@@ -209,7 +209,7 @@ def analyze(args) -> None:
             graph = analysis.build_value_graph(repo)
             for idx, cluster in enumerate(analysis.cluster_graph(graph, args.seed)):
                 print(f"cluster {idx}: " + ", ".join(sorted(cluster)))
-    except (analysis.UnknownView, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
 
 

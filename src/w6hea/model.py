@@ -16,48 +16,7 @@ from typing import Optional
 
 
 class ModelError(Exception):
-    """Base class for repository mutation errors."""
-
-
-class DuplicateEntity(ModelError):
-    pass
-
-
-class EmptyName(ModelError):
-    pass
-
-
-class DanglingReference(ModelError):
-    pass
-
-
-class KindMismatch(ModelError):
-    pass
-
-
-class DuplicateLink(ModelError):
-    pass
-
-
-class NegativeWeight(ModelError):
-    pass
-
-
-class InvalidCell(ModelError):
-    pass
-
-
-class InvalidAttribute(ModelError):
-    """A known attribute key carries a value outside its vocabulary."""
-
-
-class NestedTooDeep(ModelError):
-    """Attributes or records nest more collections than a repository file holds."""
-
-
-def _declaration_rank(member) -> int:
-    """Position in declaration order, starting at 1: the grid's one ordering."""
-    return list(type(member)).index(member) + 1
+    """A value or mutation the model refuses; the message names the rule it breaks."""
 
 
 class Interrogative(str, Enum):
@@ -69,19 +28,12 @@ class Interrogative(str, Enum):
     WHY = "why"
     WHEN = "when"
 
-    rank = property(_declaration_rank)
-
     @property
     def label(self) -> str:
         return _INTERROGATIVE_LABEL[self]
 
-    @property
-    def alias(self) -> str:
-        """The label's first word, lower-cased: people, data, ..., time."""
-        return self.label.split()[0].lower()
 
-
-# Column labels as the paper writes them: the alias, then the interrogative.
+# Column labels as the paper writes them: the column, then the interrogative.
 _INTERROGATIVE_LABEL = {
     Interrogative.WHO: "People (who)",
     Interrogative.WHAT: "Data (what)",
@@ -127,8 +79,6 @@ class View(str, Enum):
     DESIGNER = "designer"
     BUILDER = "builder"
     CONSUMER = "consumer"
-
-    rank = property(_declaration_rank)
 
     @property
     def label(self) -> str:
@@ -196,9 +146,9 @@ class ViewCell:
     def __post_init__(self):
         if self.view is View.CONSUMER:
             if self.interrogative is not None:
-                raise InvalidCell("consumer view is a single merged cell")
+                raise ModelError("consumer view is a single merged cell")
         elif self.interrogative is None:
-            raise InvalidCell(f"view {self.view.value!r} requires an interrogative")
+            raise ModelError(f"view {self.view.value!r} requires an interrogative")
 
     def key(self) -> str:
         if self.interrogative is None:
@@ -363,9 +313,9 @@ class Repository:
     def add_entity(self, e: Entity) -> str:
         eid = e.id
         if eid in self.entities:
-            raise DuplicateEntity(f"entity {eid!r} already exists")
+            raise ModelError(f"entity {eid!r} already exists")
         if eid in self.concerns:  # entity and concern ids share one namespace
-            raise DuplicateEntity(f"entity {eid!r}: a concern already has this id")
+            raise ModelError(f"entity {eid!r}: a concern already has this id")
         self.check_entity(e)
         self.entities[eid] = e
         return eid
@@ -373,46 +323,46 @@ class Repository:
     def check_entity(self, e: Entity) -> None:
         """Raise the ModelError ``add_entity`` would, short of a duplicate id."""
         if e.kind not in ENTITY_KINDS:
-            raise KindMismatch(f"unknown entity kind {e.kind!r}")
+            raise ModelError(f"unknown entity kind {e.kind!r}")
         if not slugify(e.name):  # a name with no ASCII letter or digit has an empty id
-            raise EmptyName(f"entity of kind {e.kind!r} has an empty name")
+            raise ModelError(f"entity of kind {e.kind!r} has an empty name")
         if nesting(e.attributes) > FIELD_NESTING_LIMIT:
-            raise NestedTooDeep(
+            raise ModelError(
                 f"entity {e.id!r}: attributes nest more than {FIELD_NESTING_LIMIT} deep"
             )
         for key, value in e.attributes.items():
             allowed = ATTRIBUTE_ENUMS.get((e.kind, key))
             if allowed is not None and value is not None and value not in allowed:
-                raise InvalidAttribute(
+                raise ModelError(
                     f"entity {e.id!r}: {key} must be one of {allowed}, got {value!r}"
                 )
 
     def add_link(self, l: Link) -> str:
-        for error, message in self._link_faults(l):
-            raise error(message)
+        for message in self._link_faults(l):
+            raise ModelError(message)
         lid = l.id
         if lid in self.links:
-            raise DuplicateLink(f"link {lid!r} already exists")
+            raise ModelError(f"link {lid!r} already exists")
         self.links[lid] = l
         return lid
 
     def _link_faults(self, l: Link):
-        """Yield ``(ModelError subclass, message)`` for each fault of one link."""
+        """Yield the message of each fault of one link."""
         if l.kind not in LINK_SIGNATURES:
-            yield KindMismatch, f"unknown link kind {l.kind!r}"
+            yield f"unknown link kind {l.kind!r}"
             return
         if isinstance(l.weight, bool) or not isinstance(l.weight, (int, float)):
-            yield NegativeWeight, f"link {l.id!r} has weight {l.weight!r}, not a number"
+            yield f"link {l.id!r} has weight {l.weight!r}, not a number"
         elif l.weight < 0:
-            yield NegativeWeight, f"link {l.id!r} has negative weight {l.weight}"
+            yield f"link {l.id!r} has negative weight {l.weight}"
         elif not l.weight <= sys.float_info.max:  # NaN, infinity, or an int past any float
-            yield NegativeWeight, f"link {l.id!r} has non-finite weight {l.weight}"
+            yield f"link {l.id!r} has non-finite weight {l.weight}"
         source_kinds, target_kinds = LINK_SIGNATURES[l.kind]
         src = self.entities.get(l.source)
         if src is None:
-            yield DanglingReference, f"link source {l.source!r} does not resolve"
+            yield f"link source {l.source!r} does not resolve"
         elif src.kind not in source_kinds:
-            yield KindMismatch, (
+            yield (
                 f"{l.kind} source must be one of {source_kinds}, "
                 f"got {src.kind!r} ({l.source})"
             )
@@ -420,18 +370,18 @@ class Repository:
             return
         tgt = self.entities.get(l.target)
         if tgt is None:
-            yield DanglingReference, f"link target {l.target!r} does not resolve"
+            yield f"link target {l.target!r} does not resolve"
         elif tgt.kind not in target_kinds:
-            yield KindMismatch, (
+            yield (
                 f"{l.kind} target must be one of {target_kinds}, "
                 f"got {tgt.kind!r} ({l.target})"
             )
 
     def add_concern(self, c: Concern) -> str:
         if c.id in self.concerns:
-            raise DuplicateEntity(f"concern {c.id!r} already exists")
+            raise ModelError(f"concern {c.id!r} already exists")
         if c.id in self.entities:
-            raise DuplicateEntity(f"concern {c.id!r}: an entity already has this id")
+            raise ModelError(f"concern {c.id!r}: an entity already has this id")
         self.check_concern(c)
         self.concerns[c.id] = c
         return c.id
@@ -439,16 +389,16 @@ class Repository:
     def check_concern(self, c: Concern) -> None:
         """Raise the ModelError ``add_concern`` would, short of a duplicate id."""
         if not isinstance(c.cell, ViewCell):
-            raise InvalidCell(f"concern {c.id!r} has no valid cell")
+            raise ModelError(f"concern {c.id!r} has no valid cell")
         if not c.id or not c.id.strip():
-            raise EmptyName("concern id must be non-empty")
+            raise ModelError("concern id must be non-empty")
         if nesting(c.records) > FIELD_NESTING_LIMIT:
-            raise NestedTooDeep(
+            raise ModelError(
                 f"concern {c.id!r}: records nest more than {FIELD_NESTING_LIMIT} deep"
             )
         for ref in c.entity_refs:
             if ref not in self.entities:
-                raise DanglingReference(
+                raise ModelError(
                     f"concern {c.id!r} references unknown entity {ref!r}"
                 )
 
@@ -460,7 +410,7 @@ class Repository:
         problems = [
             (l.id, f"link {l.id}: {message}")
             for l in self.links.values()
-            for _, message in self._link_faults(l)
+            for message in self._link_faults(l)
         ]
         problems += [
             (c.id, f"concern {c.id}: dangling entity ref {ref!r}")

@@ -5,7 +5,6 @@ import pytest
 import yaml
 
 from w6hea.analysis import (
-    UnknownView,
     ValueGraph,
     build_value_graph,
     cluster_graph,
@@ -138,12 +137,8 @@ class TestElicitation:
     def test_all_views_is_29_prompts_in_grid_order(self):
         plan = elicitation_plan(Repository())
         assert len(plan.prompts) == 29
-        order = [
-            (p.view.rank, p.interrogative.rank if p.interrogative else 0)
-            for p in plan.prompts
-        ]
-        expected = [(v, i) for v in range(1, 5) for i in range(1, 8)] + [(5, 0)]
-        assert order == expected
+        order = [ViewCell(p.view, p.interrogative) for p in plan.prompts]
+        assert order == cells()
 
     def test_catalog_is_what_the_safe_loader_reads(self):
         text = resources.files("w6hea.data").joinpath("prompts.yaml").read_text("utf-8")
@@ -183,7 +178,7 @@ class TestScores:
         assert doubled == pytest.approx(2 * base)
 
     def test_unknown_view_in_weights(self):
-        with pytest.raises(UnknownView):
+        with pytest.raises(ValueError, match="unknown view"):
             value_scores(Repository(), {"sponsor": 1.0})
 
     def test_matches_brute_force_on_random_repositories(self):
