@@ -20,7 +20,7 @@ from .model import (
     View,
     ViewCell,
     cells,
-    slugify,
+    group_id,
 )
 from .repofmt import YamlLoader
 
@@ -136,7 +136,7 @@ def build_value_graph(repo: Repository) -> ValueGraph:
             g.add_node(ref, repo.entities[ref].kind if ref in repo.entities else "entity")
             g.add_edge(c.id, ref, 1.0)
         for group in c.cell.view.stakeholder_groups:
-            gid = f"group.{slugify(group)}"
+            gid = group_id(group)
             g.add_node(gid, "stakeholder_group")
             g.add_edge(c.id, gid, 1.0)
     for l in repo.links.values():

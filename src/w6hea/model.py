@@ -251,6 +251,14 @@ def entity_id(kind: str, name: str) -> str:
     return f"{kind}.{slugify(name)}"
 
 
+_GROUP_PREFIX = "group."
+
+
+def group_id(name: str) -> str:
+    """The value graph's node id for a stakeholder group; no concern id has this form."""
+    return _GROUP_PREFIX + slugify(name)
+
+
 def link_id(kind: str, source: str, target: str) -> str:
     return f"{kind}--{source}--{target}"
 
@@ -392,6 +400,10 @@ class Repository:
             raise ModelError(f"concern {c.id!r} has no valid cell")
         if not c.id or not c.id.strip():
             raise ModelError("concern id must be non-empty")
+        if c.id.startswith(_GROUP_PREFIX):
+            raise ModelError(
+                f"concern {c.id!r}: ids starting with {_GROUP_PREFIX!r} name stakeholder groups"
+            )
         if nesting(c.records) > FIELD_NESTING_LIMIT:
             raise ModelError(
                 f"concern {c.id!r}: records nest more than {FIELD_NESTING_LIMIT} deep"

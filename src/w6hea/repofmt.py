@@ -11,6 +11,7 @@ never raises on malformed input.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -180,6 +181,18 @@ class YamlLoader(Composer, _Parser, SafeConstructor, Resolver):
             raise ConstructorError(None, None, message, node.start_mark) from None
 
 
+class _JsonLoader(YamlLoader):
+    """``YamlLoader`` with JSON's number rule: a number with an exponent is a
+    float, where YAML 1.1 reads one with no dot or no exponent sign as text."""
+
+
+_JsonLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+    list("-0123456789"),
+)
+
+
 def _loc(path: str, mark) -> Location:
     return Location(path, mark.line + 1, mark.column + 1) if mark else Location(path, 1, 1)
 
@@ -307,8 +320,9 @@ def parse_repository(
             return None
 
     for doc in docs:
+        loader = _JsonLoader if doc.path.endswith(".json") else YamlLoader
         try:
-            roots = list(yaml.compose_all(doc.text, Loader=YamlLoader))
+            roots = list(yaml.compose_all(doc.text, Loader=loader))
         except yaml.YAMLError as exc:
             diagnostics.append(yaml_error(doc.path, exc))
             continue

@@ -425,6 +425,19 @@ def test_merge_reports_an_id_held_by_the_other_kind(compliant_repo, strategy):
     assert "api.x" not in merged.entities and "api.orders" not in merged.concerns
 
 
+@pytest.mark.parametrize("strategy", ["add_only", "overwrite_attributes"])
+def test_merge_reports_a_concern_that_takes_a_stakeholder_group_id(compliant_repo, strategy):
+    from w6hea.ingest import IngestProposal
+    from w6hea.model import Concern
+
+    proposal = IngestProposal(concerns=[Concern("group.cios", ViewCell(View.CONSUMER))])
+    merged, diagnostics = merge_proposal(compliant_repo, proposal, strategy)
+    assert [(d.severity, d.message) for d in diagnostics] == [
+        ("error", "concern 'group.cios': ids starting with 'group.' name stakeholder groups"),
+    ]
+    assert "group.cios" not in merged.concerns
+
+
 def test_unknown_merge_strategy_is_rejected():
     from w6hea.ingest import IngestProposal
 

@@ -265,6 +265,15 @@ class TestOneNamespace:
         assert str(info.value) == "entity 'api.x': a concern already has this id"
         assert repo.entities == {}
 
+    def test_concern_cannot_take_a_stakeholder_group_id(self):
+        repo = Repository()
+        with pytest.raises(ModelError) as info:
+            repo.add_concern(Concern("group.developers", ViewCell(View.SCOPE, I.WHY)))
+        assert str(info.value) == (
+            "concern 'group.developers': ids starting with 'group.' name stakeholder groups"
+        )
+        assert repo.concerns == {}
+
 
 class TestWeightIsANumber:
     @pytest.mark.parametrize("weight", ["0.5", None, True, b"1"])

@@ -120,6 +120,27 @@ def test_json_is_accepted():
     assert "microservice.cart" in repo.entities
 
 
+JSON_NUMBERS = (
+    '{"entities": [{"kind": "microservice", "name": "cart", "attributes": '
+    '{"tech_stack": [1E+2, 2e-3, 2.5e3, -5E0, 1.0E+2, 7, "1e3"]}}]}'
+)
+
+
+def test_json_numbers_with_an_exponent_read_as_numbers():
+    repo, diagnostics = parse_repository([SourceDocument("r.ea.json", JSON_NUMBERS)])
+    assert diagnostics == []
+    values = repo.entities["microservice.cart"].attributes["tech_stack"]
+    assert values == [100.0, 0.002, 2500.0, -5.0, 100.0, 7, "1e3"]
+    assert [type(v) for v in values] == [float] * 5 + [int, str]
+
+
+def test_yaml_numbers_with_an_exponent_and_no_dot_read_as_text():
+    repo, diagnostics = parse_text(JSON_NUMBERS)  # the same text in a .ea.yaml file
+    assert diagnostics == []
+    values = repo.entities["microservice.cart"].attributes["tech_stack"]
+    assert values == ["1E+2", "2e-3", "2.5e3", "-5E0", 100.0, 7, "1e3"]
+
+
 class TestRoundTrip:
     def test_empty_repository(self):
         from w6hea.model import Repository
@@ -604,4 +625,17 @@ def test_a_concern_cannot_take_an_entity_id():
     assert [str(d) for d in diagnostics] == [
         "repo.ea.yaml:5:5: error: concern 'api.x': an entity already has this id",
         "repo.ea.yaml:7:5: error: motivated_by target must be one of ('concern',), got 'api' (api.x)",
+    ]
+
+
+def test_a_concern_cannot_take_a_stakeholder_group_id():
+    repo, diagnostics = parse_text(
+        "entities:\n  - {kind: microservice, name: m}\n"
+        "concerns:\n  - {id: group.developers, view: scope, interrogative: why}\n"
+        "  - {id: c2, view: builder, interrogative: how, entity_refs: [microservice.m]}\n"
+    )
+    assert repo is None
+    assert [str(d) for d in diagnostics] == [
+        "repo.ea.yaml:4:5: error: concern 'group.developers': "
+        "ids starting with 'group.' name stakeholder groups",
     ]

@@ -9,6 +9,7 @@ constructor on PyYAML's Python reader, scanner and parser.
 
 import datetime
 import importlib.util
+import random
 
 import pytest
 import yaml
@@ -16,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from yaml.composer import Composer
 
+from conftest import load_fixture_repo
 from test_ingest_properties import PROPERTY_SETTINGS, names, yaml_values
 from test_ingest_properties import pytestmark as hypothesis_warning_filter
 from test_repofmt import repository_texts
@@ -204,6 +206,10 @@ def reference_text(repo: Repository) -> str:
         ],
         "concerns": [concern(repo.concerns[cid]) for cid in sorted(repo.concerns)],
     }
+    return reference_dump(data)
+
+
+def reference_dump(data) -> str:
     return yaml.dump(
         data, Dumper=ReferenceDumper, sort_keys=True, allow_unicode=True,
         default_flow_style=False, width=100,
@@ -238,3 +244,36 @@ FOLDED = " ".join(f"word{i:02}" for i in range(43))  # 300 characters
 @example(with_attributes({"tech_stack": {(): "v"}}))  # an empty sequence is a simple key
 def test_canonical_text_is_what_the_safe_emitter_writes(repo):
     assert serialize_repository(repo) == reference_text(repo)
+
+
+def diagnostics_of(docs) -> list:
+    """Severities and messages of parsing ``docs``, in a fixed order."""
+    return sorted((d.severity, d.message) for d in parse_repository(docs)[1])
+
+
+FIXTURE_REPOS = [
+    load_fixture_repo(name)
+    for name in ("compliant.ea.yaml", "violations.ea.yaml", "paper_api_table.ea.yaml")
+]
+
+
+@hypothesis_warning_filter
+@PROPERTY_SETTINGS
+@given(repositories(), st.randoms(use_true_random=False))
+@example(FIXTURE_REPOS[0], random.Random(0))
+@example(FIXTURE_REPOS[1], random.Random(5))
+@example(FIXTURE_REPOS[2], random.Random(6))
+def test_declaration_order_does_not_matter(repo, rng):
+    """The canonical declarations, split over one to three files and shuffled
+    within and across them, parse to the same canonical text and diagnostics."""
+    canonical = serialize_repository(repo)
+    declarations = yaml.load(canonical, Loader=YamlLoader)
+    files = [{"entities": [], "links": [], "concerns": []} for _ in range(rng.randint(1, 3))]
+    rng.choice(files)["meta"] = declarations["meta"]
+    for section in ("entities", "links", "concerns"):
+        rng.shuffle(declarations[section])
+        for item in declarations[section]:
+            rng.choice(files)[section].append(item)
+    docs = [SourceDocument(f"{n}.ea.yaml", reference_dump(f)) for n, f in enumerate(files)]
+    assert serialize_repository(parse_repository(docs)[0]) == canonical
+    assert diagnostics_of(docs) == diagnostics_of([SourceDocument("repo.ea.yaml", canonical)])
