@@ -181,16 +181,20 @@ class YamlLoader(Composer, _Parser, SafeConstructor, Resolver):
             raise ConstructorError(None, None, message, node.start_mark) from None
 
 
-class _JsonLoader(YamlLoader):
-    """``YamlLoader`` with JSON's number rule: a number with an exponent is a
-    float, where YAML 1.1 reads one with no dot or no exponent sign as text."""
-
-
-_JsonLoader.add_implicit_resolver(
+# JSON's number rule: a number with an exponent is a float, where YAML 1.1
+# reads one with no dot or no exponent sign as text.
+_JSON_FLOAT = (
     "tag:yaml.org,2002:float",
     re.compile(r"^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
     list("-0123456789"),
 )
+
+
+class _JsonLoader(YamlLoader):
+    """``YamlLoader`` with JSON's number rule, for files named ``*.json``."""
+
+
+_JsonLoader.add_implicit_resolver(*_JSON_FLOAT)
 
 
 def _loc(path: str, mark) -> Location:
@@ -375,7 +379,8 @@ def parse_repository(
 class _CanonicalWriter(yaml.SafeDumper):
     """Writes a value as ``SafeDumper`` does with sorted keys, Unicode, block
     style and width 100, but never with anchors and aliases, and with a string
-    holding U+0085 double-quoted, where it is escaped as ``\\N``.  The emitter's
+    holding U+0085 double-quoted, where it is escaped as ``\\N``, and with text
+    that JSON's number rule reads as a number (``1e3``) quoted.  The emitter's
     own rules choose each scalar's style and tag, and its writers fold what does
     not fit; in place of the serializer and the emitter's event states, one loop
     takes pending steps off a stack, so deep values cannot exhaust the call stack.
@@ -485,6 +490,11 @@ class _CanonicalWriter(yaml.SafeDumper):
             written_tag = None if implicit[style != ""] else short
             self.forms[key] = text, written_tag, style, simple, None if analysis.multiline else inline
         return self.forms[key]
+
+
+# The canonical text reads back the same from a *.json file, which
+# ``fmt --write`` may write it to.
+_CanonicalWriter.add_implicit_resolver(*_JSON_FLOAT)
 
 
 def serialize_repository(repo: Repository) -> str:

@@ -141,6 +141,15 @@ def test_yaml_numbers_with_an_exponent_and_no_dot_read_as_text():
     assert values == ["1E+2", "2e-3", "2.5e3", "-5E0", 100.0, 7, "1e3"]
 
 
+@pytest.mark.parametrize("path", ["r.ea.json", "r.ea.yaml"])
+def test_canonical_text_reads_back_under_either_number_rule(path):
+    # fmt --write puts the canonical text in the file it read, .ea.json too.
+    repo, _ = parse_repository([SourceDocument(path, JSON_NUMBERS)])
+    text = serialize_repository(repo)
+    for written in ("r.ea.json", "r.ea.yaml"):
+        assert parse_repository([SourceDocument(written, text)]) == (repo, [])
+
+
 class TestRoundTrip:
     def test_empty_repository(self):
         from w6hea.model import Repository

@@ -10,6 +10,7 @@ constructor on PyYAML's Python reader, scanner and parser.
 import datetime
 import importlib.util
 import random
+import re
 
 import pytest
 import yaml
@@ -172,8 +173,9 @@ def test_canonical_text_parses_back(repo):
 
 
 class ReferenceDumper(yaml.SafeDumper):
-    """PyYAML's safe emitter as the canonical text once used it: a shared value
-    is written as copies, and a string holding U+0085 is double-quoted."""
+    """PyYAML's safe emitter with the canonical text's departures: a shared
+    value is written as copies, a string holding U+0085 is double-quoted, and
+    text that JSON reads as a number (``1e3``) is quoted."""
 
     def ignore_aliases(self, data):
         return True
@@ -184,6 +186,13 @@ class ReferenceDumper(yaml.SafeDumper):
             analysis.allow_flow_plain = analysis.allow_block_plain = False
             analysis.allow_single_quoted = analysis.allow_block = False
         return analysis
+
+
+ReferenceDumper.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+    list("-0123456789"),
+)
 
 
 def reference_text(repo: Repository) -> str:
@@ -242,6 +251,7 @@ FOLDED = " ".join(f"word{i:02}" for i in range(43))  # 300 characters
 }))
 @example(with_attributes({"tech_stack": {1: "a", "b": "c"}}))
 @example(with_attributes({"tech_stack": {(): "v"}}))  # an empty sequence is a simple key
+@example(with_attributes({"tech_stack": ["1e3", "-2.5E+3", "1.0e+3", "1e"], "0e0": 1}))
 def test_canonical_text_is_what_the_safe_emitter_writes(repo):
     assert serialize_repository(repo) == reference_text(repo)
 
