@@ -245,36 +245,72 @@ def cluster_graph(g: ValueGraph, seed: int = 0) -> list[set[str]]:
     with the greatest total edge weight among their neighbors (smallest label
     on ties).  Labels only travel along edges, so the resulting partition
     always refines the connected components.
+
+    A sweep re-tallies only the nodes whose neighborhood changed since their
+    last visit.  This cannot change the result: a node's choice depends only
+    on its neighbors' labels and its own, and its own label changes only
+    when it is visited.
     """
     nodes = g.nodes
     if not nodes:
         return []
-    labels = {node: idx for idx, node in enumerate(nodes)}
-    neighbor_map: dict[str, list[tuple[str, float]]] = {node: [] for node in nodes}
+    index = {node: idx for idx, node in enumerate(nodes)}
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
     for (a, b), weight in g.edge_weights.items():  # each list keeps edge order
-        neighbor_map[a].append((b, weight))
-        neighbor_map[b].append((a, weight))
+        neighbors[index[a]].append((index[b], weight))
+        neighbors[index[b]].append((index[a], weight))
+    labels = list(range(len(nodes)))
+    stale = [True] * len(nodes)
     rng = random.Random(seed)
 
     for _ in range(100):
-        order = list(nodes)
+        order = list(range(len(nodes)))
         rng.shuffle(order)
         changed = False
         for node in order:
-            neighbors = neighbor_map[node]
-            if not neighbors:
+            if not stale[node]:
                 continue
+            stale[node] = False
             tally: dict[int, float] = {}
-            for other, weight in neighbors:
-                tally[labels[other]] = tally.get(labels[other], 0.0) + weight
-            best = min(tally, key=lambda lbl: (-tally[lbl], lbl))
-            if tally[best] > 0 and best != labels[node]:
+            for other, weight in neighbors[node]:
+                label = labels[other]
+                tally[label] = tally.get(label, 0.0) + weight
+            best, most = -1, 0.0
+            for label, total in tally.items():
+                if total > most or (total == most and label < best):
+                    best, most = label, total
+            if most > 0 and best != labels[node]:
                 labels[node] = best
                 changed = True
+                for other, _ in neighbors[node]:
+                    stale[other] = True
         if not changed:
             break
 
     clusters: dict[int, set[str]] = {}
-    for node, label in labels.items():
+    for node, label in zip(nodes, labels):
         clusters.setdefault(label, set()).add(node)
     return sorted(clusters.values(), key=lambda c: min(c))
+
+
+def modularity(g: ValueGraph, clusters: list[set[str]]) -> float:
+    """Newman's modularity Q (PNAS 2006) of a partition of the weighted graph:
+    over the clusters, the share of edge weight inside the cluster minus the
+    square of the cluster's share of the weighted degree.  O(V + E); 0.0 when
+    the graph has no edge weight, NaN when an edge weight is infinite."""
+    cluster_of = {node: idx for idx, cluster in enumerate(clusters) for node in cluster}
+    if len(cluster_of) != sum(map(len, clusters)) or cluster_of.keys() != g.node_kinds.keys():
+        raise ValueError("clusters must partition the graph's nodes")
+    scale = max(g.edge_weights.values(), default=0.0)  # so that no sum overflows
+    if not scale > 0:
+        return 0.0
+    inside = [0.0] * len(clusters)
+    degree = [0.0] * len(clusters)
+    for (a, b), weight in g.edge_weights.items():
+        ca, cb, weight = cluster_of[a], cluster_of[b], weight / scale
+        degree[ca] += weight
+        degree[cb] += weight
+        if ca == cb:
+            inside[ca] += weight
+    total = sum(degree)  # twice the edge weight
+    return sum(2 * w / total - (d / total) ** 2 for w, d in zip(inside, degree))

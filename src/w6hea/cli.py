@@ -61,6 +61,14 @@ def _emit(text: str, path=None) -> None:
     print(f"wrote {path}")
 
 
+def _rewritable(path):
+    """``path``, the one repository file that ``--write`` replaces with the
+    canonical text; that text is YAML, so it may not be a ``.json`` file."""
+    if str(path).endswith(".json"):
+        raise UsageError(f"--write cannot rewrite {path}: the canonical text is YAML, not JSON")
+    return path
+
+
 def _report(diagnostics) -> None:
     """Print diagnostics to stderr; exit 2 if any of them is an error."""
     for d in diagnostics:
@@ -179,7 +187,7 @@ def ingest_documents(args) -> None:
     _report(merge_diags)
     if args.write and (len(args.repo) != 1 or not Path(args.repo[0]).is_file()):
         raise UsageError("--write requires exactly one repository file (--repo)")
-    _emit(serialize_repository(merged), args.repo[0] if args.write else None)
+    _emit(serialize_repository(merged), _rewritable(args.repo[0]) if args.write else None)
 
 
 def analyze(args) -> None:
@@ -231,7 +239,7 @@ def fmt(args) -> None:
     files = discover_files(args.paths) if args.write else [None]
     if len(files) != 1:
         raise UsageError("--write needs exactly one file (multi-file merge is lossy)")
-    _emit(text, files[0])
+    _emit(text, files[0] and _rewritable(files[0]))
 
 
 def _parser(commands, name: str, doc: str, run=None) -> argparse.ArgumentParser:

@@ -1,8 +1,11 @@
 import random
+import sys
 from importlib import resources
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from w6hea.analysis import (
     ValueGraph,
@@ -10,6 +13,7 @@ from w6hea.analysis import (
     cluster_graph,
     coverage_matrix,
     elicitation_plan,
+    modularity,
     prompt_catalog,
     retirement_candidates,
     reuse_candidates,
@@ -26,7 +30,12 @@ from w6hea.model import (
     cells,
 )
 
+from conftest import load_fixture_repo
+from test_ingest_properties import PROPERTY_SETTINGS
+from test_ingest_properties import pytestmark as hypothesis_warning_filter
+
 I = Interrogative
+FIXTURE_NAMES = ["compliant.ea.yaml", "violations.ea.yaml", "paper_api_table.ea.yaml"]
 
 
 def brute_force_scores(repo, weights=None):
@@ -318,6 +327,81 @@ class TestClustering:
         assert sorted(n for c in clusters for n in c) == g.nodes
 
 
+def reference_cluster_graph(g, seed=0):
+    """``cluster_graph`` as it was before it skipped nodes whose
+    neighborhood had not changed: every sweep re-tallies every node."""
+    nodes = g.nodes
+    if not nodes:
+        return []
+    labels = {node: idx for idx, node in enumerate(nodes)}
+    neighbor_map: dict[str, list[tuple[str, float]]] = {node: [] for node in nodes}
+    for (a, b), weight in g.edge_weights.items():  # each list keeps edge order
+        neighbor_map[a].append((b, weight))
+        neighbor_map[b].append((a, weight))
+    rng = random.Random(seed)
+
+    for _ in range(100):
+        order = list(nodes)
+        rng.shuffle(order)
+        changed = False
+        for node in order:
+            neighbors = neighbor_map[node]
+            if not neighbors:
+                continue
+            tally: dict[int, float] = {}
+            for other, weight in neighbors:
+                tally[labels[other]] = tally.get(labels[other], 0.0) + weight
+            best = min(tally, key=lambda lbl: (-tally[lbl], lbl))
+            if tally[best] > 0 and best != labels[node]:
+                labels[node] = best
+                changed = True
+        if not changed:
+            break
+
+    clusters: dict[int, set[str]] = {}
+    for node, label in labels.items():
+        clusters.setdefault(label, set()).add(node)
+    return sorted(clusters.values(), key=lambda c: min(c))
+
+
+MAX = sys.float_info.max
+edge_weights = st.sampled_from([0.0, 1.0, 2.0]) | st.sampled_from([MAX, MAX / 2, MAX / 3])
+
+
+@st.composite
+def value_graphs(draw):
+    """Graphs with isolated nodes and repeated edges.  Edge weights are
+    non-negative, as ``build_value_graph`` makes them; drawn from a few
+    values so that ties and zero tallies occur, and from values near the
+    largest float so that sums overflow to infinity."""
+    g = ValueGraph()
+    names = [f"n{i}" for i in range(draw(st.integers(0, 60)))]  # sorted: n0, n1, n10, ...
+    for name in names:
+        g.add_node(name, "microservice")
+    if len(names) > 1:
+        ends = st.sampled_from(names)
+        size = draw(st.integers(0, 3 * len(names)))  # lists drawn unsized stay short
+        edges = st.lists(st.tuples(ends, ends, edge_weights), min_size=size, max_size=size)
+        for a, b, weight in draw(edges):
+            g.add_edge(a, b, weight)  # a repeated pair adds to its edge; a loop adds nothing
+    return g
+
+
+@hypothesis_warning_filter
+@PROPERTY_SETTINGS
+@given(value_graphs())
+def test_cluster_graph_matches_the_reference(g):
+    for seed in range(8):
+        assert cluster_graph(g, seed) == reference_cluster_graph(g, seed)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cluster_graph_matches_the_reference_on_fixtures(name):
+    g = build_value_graph(load_fixture_repo(name))
+    for seed in range(8):
+        assert cluster_graph(g, seed) == reference_cluster_graph(g, seed)
+
+
 def _components(g):
     parent = {node: node for node in g.node_kinds}
 
@@ -344,3 +428,52 @@ def test_value_graph_adds_no_self_loop():
     g = ValueGraph()
     g.add_edge("a", "a")
     assert g.edge_weights == {}
+
+
+def networkx_modularity(g, clusters):
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(g.node_kinds)
+    graph.add_weighted_edges_from((a, b, w) for (a, b), w in g.edge_weights.items())
+    return nx.algorithms.community.modularity(graph, clusters)
+
+
+class TestModularity:
+    def test_two_cliques_joined_by_one_edge(self):
+        g = ValueGraph()
+        clique(g, ["a", "b", "c"])
+        clique(g, ["x", "y", "z"], weight=2.0)
+        g.add_edge("c", "x", 0.5)
+        for clusters in ([{"a", "b", "c"}, {"x", "y", "z"}], [set(g.nodes)], [{n} for n in g.nodes]):
+            assert modularity(g, clusters) == pytest.approx(networkx_modularity(g, clusters))
+        # m = 3 + 6 + 0.5; Q = 3/9.5 - (6.5/19)^2 + 6/9.5 - (12.5/19)^2
+        assert modularity(g, [{"a", "b", "c"}, {"x", "y", "z"}]) == pytest.approx(
+            9 / 9.5 - (6.5 / 19) ** 2 - (12.5 / 19) ** 2
+        )
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_matches_networkx_on_fixtures(self, name):
+        g = build_value_graph(load_fixture_repo(name))
+        for seed in range(3):
+            clusters = cluster_graph(g, seed)
+            assert modularity(g, clusters) == pytest.approx(networkx_modularity(g, clusters))
+
+    def test_no_edge_weight_is_zero(self):
+        g = ValueGraph()
+        clique(g, ["a", "b"], weight=0.0)
+        g.add_node("c", "api")
+        assert modularity(g, [{"a", "b"}, {"c"}]) == 0.0
+        assert modularity(ValueGraph(), []) == 0.0
+
+    def test_weights_near_the_largest_float(self):
+        g = ValueGraph()
+        clique(g, ["a", "b"], weight=MAX)
+        clique(g, ["c", "d"], weight=MAX)
+        assert modularity(g, [{"a", "b"}, {"c", "d"}]) == 0.5
+
+    @pytest.mark.parametrize("clusters", [[{"a"}], [{"a", "b"}, {"b"}], [{"a", "b", "c"}]])
+    def test_clusters_that_do_not_partition_are_rejected(self, clusters):
+        g = ValueGraph()
+        clique(g, ["a", "b"])
+        with pytest.raises(ValueError, match="partition"):
+            modularity(g, clusters)

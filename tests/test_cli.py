@@ -291,6 +291,23 @@ def test_usage_error(tmp_path, command, message):
     assert {p: p.read_bytes() for p in split.iterdir()} == before
 
 
+@pytest.mark.parametrize("command", [
+    ["fmt", "REPO", "--write"], ["ingest", "openapi", OPENAPI, "--repo", "REPO", "--write"],
+], ids=["fmt", "ingest-openapi"])
+def test_write_to_a_json_file_is_a_usage_error(tmp_path, command):
+    """The canonical text is YAML, which a .json file cannot hold."""
+    target = tmp_path / "r.ea.json"
+    target.write_text('{"entities": [{"kind": "microservice", "name": "cart"}]}\n')
+    before = target.read_bytes()
+    result = run(*[target if arg == "REPO" else arg for arg in command])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("usage: ")
+    assert result.stderr.endswith(
+        f": error: --write cannot rewrite {target}: the canonical text is YAML, not JSON\n"
+    )
+    assert target.read_bytes() == before
+
+
 def test_analyze_reuse_prints_each_candidate(tmp_path):
     write_repo(tmp_path, r=(
         "entities:\n  - {kind: microservice, name: cart}\n"

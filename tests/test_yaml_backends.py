@@ -25,6 +25,7 @@ from test_repofmt import repository_texts
 from w6hea.model import (
     ENTITY_KINDS,
     LINK_SIGNATURES,
+    SERVICE_KINDS,
     Concern,
     Entity,
     Link,
@@ -132,9 +133,12 @@ def added(adder, items) -> None:
 @st.composite
 def repositories(draw, fields=fields) -> Repository:
     """What the adders accept of drawn entities, then concerns, then links,
-    whose attributes and records are drawn from ``fields``."""
+    whose attributes and records are drawn from ``fields``.  Half of the
+    entities are services, and each link's ends are drawn from the kinds its
+    signature accepts, so that links are common."""
     repo = Repository(name=draw(st.text(max_size=6)), version=draw(st.text(max_size=3)))
-    entities = st.builds(Entity, st.sampled_from(ENTITY_KINDS), names, fields)
+    kinds = st.sampled_from(SERVICE_KINDS) | st.sampled_from(ENTITY_KINDS)
+    entities = st.builds(Entity, kinds, names, fields)
     added(repo.add_entity, draw(st.lists(entities, max_size=6)))
     ids = sorted(repo.entities)
     entity_refs = st.lists(st.sampled_from(ids), max_size=3) if ids else st.just([])
@@ -143,13 +147,20 @@ def repositories(draw, fields=fields) -> Repository:
         entity_refs, st.lists(fields, max_size=2),
     )
     added(repo.add_concern, draw(st.lists(concerns, max_size=4)))
-    ends = ids + sorted(repo.concerns)
-    if ends:
-        links = st.builds(
-            Link, st.sampled_from(sorted(LINK_SIGNATURES)), st.sampled_from(ends),
-            st.sampled_from(ends), st.floats(0, 1e9),
-        )
-        added(repo.add_link, draw(st.lists(links, max_size=6)))
+    of_kind = {"concern": sorted(repo.concerns)}
+    for eid in ids:
+        of_kind.setdefault(repo.entities[eid].kind, []).append(eid)
+    ends = {  # link kind -> the ids its signature accepts as source and as target
+        kind: [sorted(i for k in allowed for i in of_kind.get(k, [])) for allowed in signature]
+        for kind, signature in LINK_SIGNATURES.items()
+    }
+    link_kinds = sorted(kind for kind, (sources, targets) in ends.items() if sources and targets)
+    if link_kinds:
+        links = st.sampled_from(link_kinds).flatmap(lambda kind: st.builds(
+            Link, st.just(kind), st.sampled_from(ends[kind][0]),
+            st.sampled_from(ends[kind][1]), st.floats(0, 1e9),
+        ))
+        added(repo.add_link, draw(st.lists(links, min_size=1, max_size=6)))
     return repo
 
 
