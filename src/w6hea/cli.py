@@ -179,7 +179,7 @@ def ingest_documents(args) -> None:
         proposal, diags = ingest.ingest_openapi(document)
     else:
         target = _load_repo(args.repo) if args.repo else None
-        proposal, diags = ingest.ingest_k8s([document], target)
+        proposal, diags = ingest.ingest_k8s(document, target)
     _report(diags)
     repo = _load_repo(args.repo) if args.repo else Repository()
     strategy = "overwrite_attributes" if args.merge == "overwrite" else "add_only"

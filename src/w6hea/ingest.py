@@ -24,7 +24,7 @@ from .model import (
     slugify,
     unknown_attributes,
 )
-from .repofmt import Diagnostic, Location, SourceDocument, YamlLoader, yaml_error
+from .repofmt import Diagnostic, Location, SourceDocument, loader_for, yaml_error
 
 HTTP_VERBS = ("get", "put", "post", "delete", "options", "head", "patch", "trace")
 
@@ -42,8 +42,8 @@ class IngestProposal:
     source: str = ""
 
 
-def _warn(diags, path, message, line=1):
-    diags.append(Diagnostic("warning", message, Location(path, line, 1)))
+def _warn(diags, path, message):
+    diags.append(Diagnostic("warning", message, Location(path, 1, 1)))
 
 
 def _mapping(value) -> dict:
@@ -70,7 +70,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     diags: list[Diagnostic] = []
 
     try:
-        data = yaml.load(doc.text, Loader=YamlLoader)
+        data = yaml.load(doc.text, Loader=loader_for(doc.path))
     except yaml.YAMLError as exc:
         diags.append(yaml_error(doc.path, exc))
         return proposal, diags
@@ -91,13 +91,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
         if isinstance(t.get("name"), str) and slugify(t["name"])
     ]
 
-    apis: dict[str, Entity] = {}
-
-    def api_for(group: str) -> Entity:
-        if group not in apis:
-            apis[group] = Entity(kind="api", name=group, attributes={"methods": []})
-        return apis[group]
-
+    methods: dict[str, list[dict]] = {}  # api name -> its method records
     paths = data.get("paths")
     if not isinstance(paths, dict):
         paths = {}
@@ -129,16 +123,13 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
             if not isinstance(op_tags, list):
                 op_tags = []
             group = next((t for t in op_tags if t in tags), title)
-            api_for(group).attributes["methods"].append(record)
+            methods.setdefault(group, []).append(record)
 
-    if not apis:
-        api_for(title)
+    if not methods:
+        methods[title] = []
 
-    proposal.entities = [apis[name] for name in sorted(apis)]
-    records = []
-    for api in proposal.entities:
-        for rec in api.attributes["methods"]:
-            records.append({"api": api.id, **rec})
+    proposal.entities = [Entity("api", n, {"methods": methods[n]}) for n in sorted(methods)]
+    records = [{"api": api.id, **r} for api in proposal.entities for r in api.attributes["methods"]]
     concern_id = f"designer.how.openapi-{slugify(title)}"
     proposal.concerns.append(
         Concern(
@@ -153,103 +144,95 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
 
 
 def ingest_k8s(
-    docs: list[SourceDocument], repo: Optional[Repository] = None
+    doc: SourceDocument, repo: Optional[Repository] = None
 ) -> tuple[IngestProposal, list[Diagnostic]]:
     """Extract deployment targets and networking records from K8s manifests.
 
     Deployments/StatefulSets become deployment_target entities (namespace,
     replica count, container images); Services contribute endpoint attributes
-    to the like-named target.  When a workload's ``app`` label matches a
-    microservice in ``repo``, a deployed_on link is proposed.  A concern
-    holding the pod/network table is proposed at the builder/where cell.
-    A manifest without a string ``metadata.name`` holding an ASCII letter or
-    digit, or a workload whose ``spec.replicas`` is set but not an integer, is
-    skipped with a warning.
+    to the like-named target.  When a workload's ``app`` label is non-empty
+    text naming a microservice in ``repo``, a deployed_on link is proposed.
+    A concern holding the pod/network table is proposed at the builder/where
+    cell.  A manifest without a string ``metadata.name`` holding an ASCII
+    letter or digit, or a workload whose ``spec.replicas`` is set but not an
+    integer, is skipped with a warning.
     """
-    proposal = IngestProposal(source=";".join(d.path for d in docs))
+    proposal = IngestProposal(source=doc.path)
     diags: list[Diagnostic] = []
     targets: dict[str, Entity] = {}
     rows: list[dict] = []
-    pending_links: list[tuple[str, str]] = []  # (app label, target id)
 
-    for doc in docs:
-        try:
-            manifests = [m for m in yaml.load_all(doc.text, Loader=YamlLoader) if m is not None]
-        except yaml.YAMLError as exc:
-            diags.append(yaml_error(doc.path, exc))
+    try:
+        manifests = yaml.load_all(doc.text, Loader=loader_for(doc.path))
+        manifests = [m for m in manifests if m is not None]
+    except yaml.YAMLError as exc:
+        diags.append(yaml_error(doc.path, exc))
+        return proposal, diags
+    for manifest in manifests:
+        if not isinstance(manifest, dict):
+            _warn(diags, doc.path, "manifest document is not a mapping; skipped")
             continue
-        for manifest in manifests:
-            if not isinstance(manifest, dict):
-                _warn(diags, doc.path, "manifest document is not a mapping; skipped")
-                continue
-            kind = manifest.get("kind")
-            if kind not in K8S_SUPPORTED_KINDS:
-                _warn(diags, doc.path, f"unsupported manifest kind {kind!r} skipped")
-                continue
-            metadata = _mapping(manifest.get("metadata"))
-            name = metadata.get("name")
-            if not isinstance(name, str) or not slugify(name):
-                _warn(diags, doc.path, f"{kind} without metadata.name skipped")
-                continue
-            spec = _mapping(manifest.get("spec"))
+        kind = manifest.get("kind")
+        if kind not in K8S_SUPPORTED_KINDS:
+            _warn(diags, doc.path, f"unsupported manifest kind {kind!r} skipped")
+            continue
+        metadata = _mapping(manifest.get("metadata"))
+        name = metadata.get("name")
+        if not isinstance(name, str) or not slugify(name):
+            _warn(diags, doc.path, f"{kind} without metadata.name skipped")
+            continue
+        spec = _mapping(manifest.get("spec"))
 
-            if kind in K8S_WORKLOAD_KINDS:
-                replicas = 1 if spec.get("replicas") is None else spec["replicas"]
-                if type(replicas) is not int:  # a bool is not a replica count
-                    message = f"{kind} {name!r} has non-integer replicas {replicas!r}; skipped"
-                    _warn(diags, doc.path, message)
-                    continue
-                template = _mapping(spec.get("template"))
-                containers = _mappings(_mapping(template.get("spec")).get("containers"))
-                attributes = {
-                    "namespace": metadata.get("namespace", "default"),
-                    "replicas": replicas,
-                    "images": [c["image"] for c in containers if c.get("image")],
+        if kind in K8S_WORKLOAD_KINDS:
+            replicas = 1 if spec.get("replicas") is None else spec["replicas"]
+            if type(replicas) is not int:  # a bool is not a replica count
+                message = f"{kind} {name!r} has non-integer replicas {replicas!r}; skipped"
+                _warn(diags, doc.path, message)
+                continue
+            template = _mapping(spec.get("template"))
+            containers = _mappings(_mapping(template.get("spec")).get("containers"))
+            attributes = {
+                "namespace": metadata.get("namespace", "default"),
+                "replicas": replicas,
+                "images": [c["image"] for c in containers if c.get("image")],
+            }
+            target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
+            target.attributes.update(attributes)
+            for labels in (
+                _mapping(spec.get("selector")).get("matchLabels"),
+                metadata.get("labels"),
+                _mapping(template.get("metadata")).get("labels"),
+            ):
+                app = _mapping(labels).get("app")
+                if isinstance(app, str) and app:
+                    ms_id = entity_id("microservice", app)
+                    if repo is not None and ms_id in repo.entities:
+                        proposal.links.append(Link("deployed_on", ms_id, target.id))
+                    break
+            rows.append({"workload": name, "kind": kind, **attributes})
+        elif kind == "Service":
+            ports = [
+                {
+                    "port": port.get("port"),
+                    "target_port": port.get("targetPort"),
+                    "protocol": port.get("protocol", "TCP"),
                 }
-                target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
-                target.attributes.update(attributes)
-                for labels in (
-                    _mapping(spec.get("selector")).get("matchLabels"),
-                    metadata.get("labels"),
-                    _mapping(template.get("metadata")).get("labels"),
-                ):
-                    app = _mapping(labels).get("app")
-                    if app:
-                        pending_links.append((str(app), target.id))
-                        break
-                rows.append({"workload": name, "kind": kind, **attributes})
-            elif kind == "Service":
-                ports = [
-                    {
-                        "port": port.get("port"),
-                        "target_port": port.get("targetPort"),
-                        "protocol": port.get("protocol", "TCP"),
-                    }
-                    for port in _mappings(spec.get("ports"))
-                ]
-                target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
-                target.attributes["endpoints"] = ports
-                selector = _mapping(spec.get("selector"))
-                if selector:
-                    target.attributes["selector"] = dict(selector)
-                rows.append({"service": name, "endpoints": ports})
-            elif kind == "Namespace":
-                proposal.entities.append(Entity(kind="location", name=name))
+                for port in _mappings(spec.get("ports"))
+            ]
+            target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
+            target.attributes["endpoints"] = ports
+            selector = _mapping(spec.get("selector"))
+            if selector:
+                target.attributes["selector"] = dict(selector)
+            rows.append({"service": name, "endpoints": ports})
+        elif kind == "Namespace":
+            proposal.entities.append(Entity(kind="location", name=name))
 
     proposal.entities.extend(targets[name] for name in sorted(targets))
-
-    known_ms = set()
-    if repo is not None:
-        known_ms = {e.id for e in repo.entities_of_kind("microservice")}
-    for app, target_id in pending_links:
-        ms_id = entity_id("microservice", app)
-        if ms_id in known_ms:
-            proposal.links.append(Link(kind="deployed_on", source=ms_id, target=target_id))
-
     if rows:
         proposal.concerns.append(
             Concern(
-                id=f"builder.where.k8s-{slugify(proposal.source) or 'manifests'}",
+                id=f"builder.where.k8s-{slugify(doc.path) or 'manifests'}",
                 cell=ViewCell(View.BUILDER, Interrogative.WHERE),
                 statement="Cluster deployment and networking extracted from manifests",
                 entity_refs=sorted({t.id for t in targets.values()}),
@@ -269,8 +252,9 @@ def merge_proposal(
 
     ``add_only`` keeps existing entities/concerns untouched on id collision
     (warning); ``overwrite_attributes`` replaces the attribute map / records
-    while preserving links.  A replacement passes the checks an added item
-    would; one that fails is reported and the existing item kept.  Dangling
+    while preserving links.  Every item goes in through the repository's
+    adders: a replacement takes the existing item's place, and one the adder
+    refuses is reported and the existing item put back.  Dangling
     proposal links are reported and skipped; unknown attributes of merged
     entities are reported as warnings.
     """
@@ -284,37 +268,34 @@ def merge_proposal(
         diags.append(Diagnostic(severity, message, origin))
 
     overwrite = strategy == "overwrite_attributes"
-    for entity in map(copy.deepcopy, proposal.entities):
-        existing = out.entities.get(entity.id)
-        if existing is not None and not overwrite:
-            report("warning", f"entity {entity.id!r} already present; kept as-is")
-            continue
+
+    def merge(adder, items: dict, item) -> bool:
+        """Add ``item`` through ``adder``, in place of the item its id names
+        on an overwrite; one the adder refuses leaves the old item in place."""
+        old = items.get(item.id)
+        if old is not None and not overwrite:
+            noun = type(item).__name__.lower()  # entity or concern
+            report("warning", f"{noun} {item.id!r} already present; kept as-is")
+            return False
+        items.pop(item.id, None)
         try:
-            if existing is None:
-                out.add_entity(entity)
-            else:
-                entity = Entity(existing.kind, existing.name, entity.attributes)
-                out.check_entity(entity)
-                existing.attributes = entity.attributes
+            adder(item)
+            return True
         except ModelError as exc:
+            if old is not None:
+                items[item.id] = old
             report("error", str(exc))
-            continue
-        for message in unknown_attributes(entity):
-            report("warning", message)
+            return False
+
+    for entity in map(copy.deepcopy, proposal.entities):
+        if entity.id in out.entities:  # an overwrite keeps the existing name
+            entity.name = out.entities[entity.id].name
+        if merge(out.add_entity, out.entities, entity):
+            for message in unknown_attributes(entity):
+                report("warning", message)
 
     for concern in map(copy.deepcopy, proposal.concerns):
-        existing = concern.id in out.concerns
-        if existing and not overwrite:
-            report("warning", f"concern {concern.id!r} already present; kept as-is")
-            continue
-        try:
-            if existing:
-                out.check_concern(concern)
-                out.concerns[concern.id] = concern
-            else:
-                out.add_concern(concern)
-        except ModelError as exc:
-            report("error", str(exc))
+        merge(out.add_concern, out.concerns, concern)
 
     for link in proposal.links:
         if link.id in out.links:

@@ -324,26 +324,22 @@ class Repository:
             raise ModelError(f"entity {eid!r} already exists")
         if eid in self.concerns:  # entity and concern ids share one namespace
             raise ModelError(f"entity {eid!r}: a concern already has this id")
-        self.check_entity(e)
-        self.entities[eid] = e
-        return eid
-
-    def check_entity(self, e: Entity) -> None:
-        """Raise the ModelError ``add_entity`` would, short of a duplicate id."""
         if e.kind not in ENTITY_KINDS:
             raise ModelError(f"unknown entity kind {e.kind!r}")
         if not slugify(e.name):  # a name with no ASCII letter or digit has an empty id
             raise ModelError(f"entity of kind {e.kind!r} has an empty name")
         if nesting(e.attributes) > FIELD_NESTING_LIMIT:
             raise ModelError(
-                f"entity {e.id!r}: attributes nest more than {FIELD_NESTING_LIMIT} deep"
+                f"entity {eid!r}: attributes nest more than {FIELD_NESTING_LIMIT} deep"
             )
         for key, value in e.attributes.items():
             allowed = ATTRIBUTE_ENUMS.get((e.kind, key))
             if allowed is not None and value is not None and value not in allowed:
                 raise ModelError(
-                    f"entity {e.id!r}: {key} must be one of {allowed}, got {value!r}"
+                    f"entity {eid!r}: {key} must be one of {allowed}, got {value!r}"
                 )
+        self.entities[eid] = e
+        return eid
 
     def add_link(self, l: Link) -> str:
         for message in self._link_faults(l):
@@ -390,12 +386,6 @@ class Repository:
             raise ModelError(f"concern {c.id!r} already exists")
         if c.id in self.entities:
             raise ModelError(f"concern {c.id!r}: an entity already has this id")
-        self.check_concern(c)
-        self.concerns[c.id] = c
-        return c.id
-
-    def check_concern(self, c: Concern) -> None:
-        """Raise the ModelError ``add_concern`` would, short of a duplicate id."""
         if not isinstance(c.cell, ViewCell):
             raise ModelError(f"concern {c.id!r} has no valid cell")
         if not c.id or not c.id.strip():
@@ -413,6 +403,8 @@ class Repository:
                 raise ModelError(
                     f"concern {c.id!r} references unknown entity {ref!r}"
                 )
+        self.concerns[c.id] = c
+        return c.id
 
     # -- integrity -------------------------------------------------------
 

@@ -197,6 +197,11 @@ class _JsonLoader(YamlLoader):
 _JsonLoader.add_implicit_resolver(*_JSON_FLOAT)
 
 
+def loader_for(path: str) -> type:
+    """The loader for a document at ``path``: JSON's number rule for ``*.json``."""
+    return _JsonLoader if path.endswith(".json") else YamlLoader
+
+
 def _loc(path: str, mark) -> Location:
     return Location(path, mark.line + 1, mark.column + 1) if mark else Location(path, 1, 1)
 
@@ -324,9 +329,8 @@ def parse_repository(
             return None
 
     for doc in docs:
-        loader = _JsonLoader if doc.path.endswith(".json") else YamlLoader
         try:
-            roots = list(yaml.compose_all(doc.text, Loader=loader))
+            roots = list(yaml.compose_all(doc.text, Loader=loader_for(doc.path)))
         except yaml.YAMLError as exc:
             diagnostics.append(yaml_error(doc.path, exc))
             continue

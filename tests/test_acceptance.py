@@ -187,7 +187,7 @@ def test_criterion_8_ingestion_counts():
     assert len(records) == 3
 
     repo = load_fixture_repo("compliant.ea.yaml")
-    k8s_proposal, _ = ingest_k8s([SourceDocument.read(fixture_path("cart.k8s.yaml"))], repo)
+    k8s_proposal, _ = ingest_k8s(SourceDocument.read(fixture_path("cart.k8s.yaml")), repo)
     targets = [e for e in k8s_proposal.entities if e.kind == "deployment_target"]
     assert len(targets) == 1
     assert targets[0].attributes["replicas"] == 3

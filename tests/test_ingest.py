@@ -2,7 +2,7 @@ import pytest
 
 from w6hea.ingest import ingest_k8s, ingest_openapi, merge_proposal
 from w6hea.model import Interrogative, Repository, View, ViewCell
-from w6hea.repofmt import SourceDocument
+from w6hea.repofmt import SourceDocument, serialize_repository
 
 from conftest import fixture_path
 
@@ -65,7 +65,7 @@ class TestOpenAPI:
 
 class TestK8s:
     def test_deployment_and_service(self):
-        proposal, diagnostics = ingest_k8s([read("cart.k8s.yaml")])
+        proposal, diagnostics = ingest_k8s(read("cart.k8s.yaml"))
         assert [d for d in diagnostics if d.severity == "error"] == []
         targets = [e for e in proposal.entities if e.kind == "deployment_target"]
         assert len(targets) == 1
@@ -77,30 +77,30 @@ class TestK8s:
         ]
 
     def test_concern_proposed_at_builder_where(self):
-        proposal, _ = ingest_k8s([read("cart.k8s.yaml")])
+        proposal, _ = ingest_k8s(read("cart.k8s.yaml"))
         assert proposal.concerns[0].cell == ViewCell(View.BUILDER, Interrogative.WHERE)
 
     def test_unknown_kind_skipped_with_warning(self):
         doc = SourceDocument(
             "cron.yaml", "apiVersion: batch/v1\nkind: CronJob\nmetadata:\n  name: tidy\n"
         )
-        proposal, diagnostics = ingest_k8s([doc])
+        proposal, diagnostics = ingest_k8s(doc)
         assert proposal.entities == []
         assert len([d for d in diagnostics if d.severity == "warning"]) == 1
 
     def test_app_label_proposes_deployed_on(self, compliant_repo):
-        proposal, _ = ingest_k8s([read("cart.k8s.yaml")], compliant_repo)
+        proposal, _ = ingest_k8s(read("cart.k8s.yaml"), compliant_repo)
         kinds = [(l.kind, l.source, l.target) for l in proposal.links]
         assert ("deployed_on", "microservice.cart", "deployment_target.cart") in kinds
 
     def test_no_link_without_matching_microservice(self):
-        proposal, _ = ingest_k8s([read("cart.k8s.yaml")])
+        proposal, _ = ingest_k8s(read("cart.k8s.yaml"))
         assert proposal.links == []
 
 
 class TestMerge:
     def test_merge_twice_equals_merge_once(self, compliant_repo):
-        proposal, _ = ingest_k8s([read("cart.k8s.yaml")], compliant_repo)
+        proposal, _ = ingest_k8s(read("cart.k8s.yaml"), compliant_repo)
         once, _ = merge_proposal(compliant_repo, proposal, "add_only")
         twice, _ = merge_proposal(once, proposal, "add_only")
         assert once == twice
@@ -149,7 +149,7 @@ class TestMerge:
         import copy
 
         before = copy.deepcopy(compliant_repo)
-        proposal, _ = ingest_k8s([read("cart.k8s.yaml")], compliant_repo)
+        proposal, _ = ingest_k8s(read("cart.k8s.yaml"), compliant_repo)
         merge_proposal(compliant_repo, proposal, "overwrite_attributes")
         assert compliant_repo == before
 
@@ -283,7 +283,7 @@ K8S_MALFORMED = [
 
 @pytest.mark.parametrize("text, warning, targets", K8S_MALFORMED)
 def test_k8s_wrong_shaped_field_reads_as_absent(text, warning, targets):
-    proposal, diagnostics = ingest_k8s([SourceDocument("bad.yaml", text)])
+    proposal, diagnostics = ingest_k8s(SourceDocument("bad.yaml", text))
     assert [(d.severity, d.message, str(d.location)) for d in diagnostics] == (
         [] if warning is None else [("warning", warning, "bad.yaml:1:1")]
     )
@@ -363,7 +363,7 @@ UNLOADABLE = [
 @pytest.mark.parametrize("extract, text, line", UNLOADABLE)
 def test_unloadable_yaml_is_a_located_error(extract, text, line):
     doc = SourceDocument("bad.yaml", text)
-    proposal, diagnostics = extract(doc) if extract is ingest_openapi else extract([doc])
+    proposal, diagnostics = extract(doc)
     assert [(d.severity, d.location.file, d.location.line) for d in diagnostics] == [
         ("error", "bad.yaml", line)
     ]
@@ -443,3 +443,120 @@ def test_unknown_merge_strategy_is_rejected():
 
     with pytest.raises(ValueError, match="unknown merge strategy 'replace'"):
         merge_proposal(Repository(), IngestProposal(), "replace")
+
+
+# The canonical text and diagnostics of merges, pinned byte for byte.  Documents
+# are named as their fixtures are, so the pinned text is the same in any checkout.
+TWIN_WORKLOADS = """\
+kind: Deployment
+metadata: {name: cart, labels: {app: cart}}
+spec: {replicas: 2}
+---
+kind: StatefulSet
+metadata: {name: cart, labels: {app: cart}}
+spec: {replicas: 3, template: {spec: {containers: [{image: 'cart:2'}]}}}
+"""
+
+
+def merge_documents(repo, documents, strategy):
+    """Ingest each document, against the repository so far, and merge it in."""
+    diagnostics = []
+    for doc in documents:
+        extract = ingest_openapi if ".openapi." in doc.path else lambda d: ingest_k8s(d, repo)
+        proposal, found = extract(doc)
+        repo, merged = merge_proposal(repo, proposal, strategy)
+        diagnostics += [(d.severity, d.message, str(d.location)) for d in found + merged]
+    return repo, diagnostics
+
+
+def fixture_documents(*names):
+    return [SourceDocument(name, fixture_path(name).read_text(encoding="utf-8")) for name in names]
+
+
+@pytest.mark.parametrize(
+    "strategy, again",
+    [
+        pytest.param("add_only", [
+            ("warning", "entity 'api.petstore' already present; kept as-is",
+             "petstore.openapi.yaml:1:1"),
+            ("warning", "concern 'designer.how.openapi-petstore' already present; kept as-is",
+             "petstore.openapi.yaml:1:1"),
+            ("warning", "entity 'deployment_target.cart' already present; kept as-is",
+             "cart.k8s.yaml:1:1"),
+            ("warning", "concern 'builder.where.k8s-cart-k8s-yaml' already present; kept as-is",
+             "cart.k8s.yaml:1:1"),
+        ], id="add_only"),
+        pytest.param("overwrite_attributes", [], id="overwrite_attributes"),
+    ],
+)
+def test_fixture_merge_is_pinned(compliant_repo, strategy, again):
+    documents = fixture_documents("petstore.openapi.yaml", "cart.k8s.yaml")
+    expected = fixture_path("merged-petstore-cart.expected.yaml").read_text(encoding="utf-8")
+    merged, diagnostics = merge_documents(compliant_repo, documents, strategy)
+    assert serialize_repository(merged) == expected
+    assert diagnostics == []
+    merged, diagnostics = merge_documents(merged, documents, strategy)
+    assert serialize_repository(merged) == expected
+    assert diagnostics == again
+
+
+@pytest.mark.parametrize("strategy", ["add_only", "overwrite_attributes"])
+def test_twin_workload_merge_is_pinned(compliant_repo, strategy):
+    twins = [SourceDocument("twins.k8s.yaml", TWIN_WORKLOADS)]
+    merged, diagnostics = merge_documents(compliant_repo, twins, strategy)
+    expected = fixture_path("merged-twins.expected.yaml").read_text(encoding="utf-8")
+    assert serialize_repository(merged) == expected
+    assert diagnostics == []
+
+    # Into a repository that already holds the target the cart manifest gives.
+    repo, _ = merge_documents(
+        compliant_repo, fixture_documents("petstore.openapi.yaml", "cart.k8s.yaml"), strategy
+    )
+    merged, diagnostics = merge_documents(repo, twins, strategy)
+    expected = fixture_path(f"merged-twins-{strategy}.expected.yaml").read_text(encoding="utf-8")
+    assert serialize_repository(merged) == expected
+    assert diagnostics == {
+        "add_only": [
+            ("warning", "entity 'deployment_target.cart' already present; kept as-is",
+             "twins.k8s.yaml:1:1"),
+        ],
+        "overwrite_attributes": [],
+    }[strategy]
+
+
+@pytest.mark.parametrize(
+    "labels, links",
+    [
+        pytest.param("metadata: {name: cart, labels: {app: [cart]}}", [], id="list-app"),
+        pytest.param("metadata: {name: cart, labels: {app: 7}}", [], id="number-app"),
+        pytest.param(
+            "metadata: {name: cart, labels: {app: [x]}}\n"
+            "spec: {template: {metadata: {labels: {app: cart}}}}",
+            [("deployed_on", "microservice.cart", "deployment_target.cart")],
+            id="text-app-after-list-app",
+        ),
+    ],
+)
+def test_only_a_text_app_label_proposes_deployed_on(compliant_repo, labels, links):
+    from w6hea.model import Entity
+
+    compliant_repo.add_entity(Entity("microservice", "7"))
+    doc = SourceDocument("m.yaml", f"kind: Deployment\n{labels}\n")
+    proposal, diagnostics = ingest_k8s(doc, compliant_repo)
+    assert diagnostics == []
+    assert [(l.kind, l.source, l.target) for l in proposal.links] == links
+
+
+def test_a_json_document_reads_numbers_as_json_does():
+    text = '{"openapi": "3.0.0", "info": {"title": 1E+2}, "paths": {"/a": {"get": {}}}}'
+    proposal, _ = ingest_openapi(SourceDocument("api.json", text))
+    assert [e.id for e in proposal.entities] == ["api.untitled-api"]
+    proposal, _ = ingest_openapi(SourceDocument("api.yaml", text))
+    assert [e.id for e in proposal.entities] == ["api.1e-2"]
+
+    text = '{"kind": "Service", "metadata": {"name": 1E+2}}'
+    proposal, diagnostics = ingest_k8s(SourceDocument("m.json", text))
+    assert proposal.entities == []
+    assert [d.message for d in diagnostics] == ["Service without metadata.name skipped"]
+    proposal, _ = ingest_k8s(SourceDocument("m.yaml", text))
+    assert [e.id for e in proposal.entities] == ["deployment_target.1e-2"]

@@ -119,7 +119,7 @@ def known_microservice() -> Repository:
 @given(st.lists(shaped(manifest), max_size=3))
 def test_ingest_k8s_and_merge_never_raise(manifests):
     repo = known_microservice()
-    proposal, _ = ingest_k8s([SourceDocument("m.yaml", dump(*manifests))], repo)
+    proposal, _ = ingest_k8s(SourceDocument("m.yaml", dump(*manifests)), repo)
     merge_proposal(repo, proposal)
 
 
@@ -141,7 +141,7 @@ def test_merge_is_idempotent(document, strategy):
     kind, text = document
     repo = known_microservice()
     if kind == "k8s":
-        proposal, _ = ingest_k8s([SourceDocument("m.yaml", text)], repo)
+        proposal, _ = ingest_k8s(SourceDocument("m.yaml", text), repo)
     else:
         proposal, _ = ingest_openapi(SourceDocument("api.yaml", text))
     once, _ = merge_proposal(repo, proposal, strategy)
