@@ -31,6 +31,13 @@ HTTP_VERBS = ("get", "put", "post", "delete", "options", "head", "patch", "trace
 K8S_WORKLOAD_KINDS = ("Deployment", "StatefulSet")
 K8S_SUPPORTED_KINDS = K8S_WORKLOAD_KINDS + ("Service", "Namespace")
 
+# Where a workload's ``app`` label is read, first to last.
+APP_LABEL_PATHS = (
+    ("spec", "selector", "matchLabels", "app"),
+    ("metadata", "labels", "app"),
+    ("spec", "template", "metadata", "labels", "app"),
+)
+
 
 @dataclass
 class IngestProposal:
@@ -46,15 +53,20 @@ def _warn(diags, path, message):
     diags.append(Diagnostic("warning", message, Location(path, 1, 1)))
 
 
-def _mapping(value) -> dict:
-    """``value`` if it is a mapping, else an empty one: in an outside document
-    a field of the wrong shape reads as absent."""
-    return value if isinstance(value, dict) else {}
+def _at(value, *keys, kind=dict):
+    """The field of ``value`` at ``keys``, walking through mappings, if it is a
+    ``kind`` (a type or a tuple of types; a bool is only an ``object``), else
+    None: in an outside document a field of the wrong shape reads as absent."""
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) and kind is not object:
+        return None
+    return value if isinstance(value, kind) else None
 
 
-def _mappings(value) -> list[dict]:
-    """The mapping items of ``value`` if it is a list, else none."""
-    return [item for item in value if isinstance(item, dict)] if isinstance(value, list) else []
+def _items(value, *keys) -> list[dict]:
+    """The mapping items of the list at ``keys`` below ``value``, else none."""
+    return [item for item in _at(value, *keys, kind=list) or () if isinstance(item, dict)]
 
 
 def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic]]:
@@ -83,32 +95,28 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
         _warn(diags, doc.path, f"unsupported OpenAPI version {version!r}; parsing best-effort")
 
     # A title that is not text, or has no letter or digit, reads as absent.
-    title = _mapping(data.get("info")).get("title")
-    title = title if isinstance(title, str) and slugify(title) else "untitled-api"
-    tags = [
-        t["name"]
-        for t in _mappings(data.get("tags"))
-        if isinstance(t.get("name"), str) and slugify(t["name"])
-    ]
+    title = _at(data, "info", "title", kind=str)
+    title = title if title and slugify(title) else "untitled-api"
+    names = (_at(tag, "name", kind=str) for tag in _items(data, "tags"))
+    tags = [name for name in names if name and slugify(name)]
 
     methods: dict[str, list[dict]] = {}  # api name -> its method records
-    paths = data.get("paths")
-    if not isinstance(paths, dict):
+    paths = _at(data, "paths")
+    if paths is None:
         paths = {}
         _warn(diags, doc.path, "document has no 'paths' mapping")
     if not paths:
         _warn(diags, doc.path, "document declares no operations")
 
     for path in sorted(paths, key=str):
-        item = paths[path]
-        if not isinstance(item, dict):
+        item = _at(paths, path)
+        if item is None:
             _warn(diags, doc.path, f"path {path!r} is not a mapping; skipped")
             continue
         for verb in HTTP_VERBS:
-            op = item.get(verb)
-            if not isinstance(op, dict):
+            if (op := _at(item, verb)) is None:
                 continue
-            codes = sorted(str(c) for c in _mapping(op.get("responses")))
+            codes = sorted(str(c) for c in _at(op, "responses") or ())
             status = codes[0] if codes else None
             record = {
                 "verb": verb,
@@ -119,10 +127,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
             if len(codes) > 1:
                 record["status_codes"] = codes
             # Untagged operations fall back to the document title even when tags exist.
-            op_tags = op.get("tags")
-            if not isinstance(op_tags, list):
-                op_tags = []
-            group = next((t for t in op_tags if t in tags), title)
+            group = next((t for t in _at(op, "tags", kind=list) or () if t in tags), title)
             methods.setdefault(group, []).append(record)
 
     if not methods:
@@ -153,9 +158,9 @@ def ingest_k8s(
     to the like-named target.  When a workload's ``app`` label is non-empty
     text naming a microservice in ``repo``, a deployed_on link is proposed.
     A concern holding the pod/network table is proposed at the builder/where
-    cell.  A manifest without a string ``metadata.name`` holding an ASCII
-    letter or digit, or a workload whose ``spec.replicas`` is set but not an
-    integer, is skipped with a warning.
+    cell.  A manifest without a string ``metadata.name`` holding a letter or
+    digit that folds to ASCII, or a workload whose ``spec.replicas`` is set but
+    not an integer, is skipped with a warning.
     """
     proposal = IngestProposal(source=doc.path)
     diags: list[Diagnostic] = []
@@ -176,52 +181,43 @@ def ingest_k8s(
         if kind not in K8S_SUPPORTED_KINDS:
             _warn(diags, doc.path, f"unsupported manifest kind {kind!r} skipped")
             continue
-        metadata = _mapping(manifest.get("metadata"))
-        name = metadata.get("name")
-        if not isinstance(name, str) or not slugify(name):
+        name = _at(manifest, "metadata", "name", kind=str)
+        if not (name and slugify(name)):
             _warn(diags, doc.path, f"{kind} without metadata.name skipped")
             continue
-        spec = _mapping(manifest.get("spec"))
 
         if kind in K8S_WORKLOAD_KINDS:
-            replicas = 1 if spec.get("replicas") is None else spec["replicas"]
+            replicas = _at(manifest, "spec", "replicas", kind=object)
+            replicas = 1 if replicas is None else replicas
             if type(replicas) is not int:  # a bool is not a replica count
                 message = f"{kind} {name!r} has non-integer replicas {replicas!r}; skipped"
                 _warn(diags, doc.path, message)
                 continue
-            template = _mapping(spec.get("template"))
-            containers = _mappings(_mapping(template.get("spec")).get("containers"))
+            containers = _items(manifest, "spec", "template", "spec", "containers")
             attributes = {
-                "namespace": metadata.get("namespace", "default"),
+                "namespace": _at(manifest, "metadata", "namespace", kind=str) or "default",
                 "replicas": replicas,
-                "images": [c["image"] for c in containers if c.get("image")],
+                "images": [i for c in containers if (i := _at(c, "image", kind=str))],
             }
             target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
             target.attributes.update(attributes)
-            for labels in (
-                _mapping(spec.get("selector")).get("matchLabels"),
-                metadata.get("labels"),
-                _mapping(template.get("metadata")).get("labels"),
-            ):
-                app = _mapping(labels).get("app")
-                if isinstance(app, str) and app:
-                    ms_id = entity_id("microservice", app)
-                    if repo is not None and ms_id in repo.entities:
-                        proposal.links.append(Link("deployed_on", ms_id, target.id))
-                    break
+            app = next(filter(None, (_at(manifest, *p, kind=str) for p in APP_LABEL_PATHS)), None)
+            ms_id = app and entity_id("microservice", app)
+            if repo is not None and ms_id in repo.entities:
+                proposal.links.append(Link("deployed_on", ms_id, target.id))
             rows.append({"workload": name, "kind": kind, **attributes})
         elif kind == "Service":
             ports = [
                 {
-                    "port": port.get("port"),
-                    "target_port": port.get("targetPort"),
-                    "protocol": port.get("protocol", "TCP"),
+                    "port": _at(port, "port", kind=int),
+                    "target_port": _at(port, "targetPort", kind=(int, str)),
+                    "protocol": _at(port, "protocol", kind=str) or "TCP",
                 }
-                for port in _mappings(spec.get("ports"))
+                for port in _items(manifest, "spec", "ports")
             ]
             target = targets.setdefault(name, Entity(kind="deployment_target", name=name))
             target.attributes["endpoints"] = ports
-            selector = _mapping(spec.get("selector"))
+            selector = _at(manifest, "spec", "selector")
             if selector:
                 target.attributes["selector"] = dict(selector)
             rows.append({"service": name, "endpoints": ports})

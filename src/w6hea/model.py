@@ -244,6 +244,11 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
 def slugify(text: str) -> str:
+    if not text.isascii():  # fold accents, so "Zürich" is "zurich", not "z-rich"
+        import unicodedata
+
+        text = unicodedata.normalize("NFD", text)
+        text = "".join(c for c in text if not unicodedata.combining(c))
     return _SLUG_RE.sub("-", text.lower()).strip("-")
 
 
@@ -326,7 +331,7 @@ class Repository:
             raise ModelError(f"entity {eid!r}: a concern already has this id")
         if e.kind not in ENTITY_KINDS:
             raise ModelError(f"unknown entity kind {e.kind!r}")
-        if not slugify(e.name):  # a name with no ASCII letter or digit has an empty id
+        if not slugify(e.name):  # no letter or digit folds to ASCII: an empty id
             raise ModelError(f"entity of kind {e.kind!r} has an empty name")
         if nesting(e.attributes) > FIELD_NESTING_LIMIT:
             raise ModelError(

@@ -278,6 +278,32 @@ K8S_MALFORMED = [
         {"cart": {"namespace": "default", "replicas": 1, "images": []}},
         id="list-template",
     ),
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: cart, namespace: [a, b]}\n"
+        "spec: {template: {spec: {containers: [{image: {x: 1}}]}}}\n---\n"
+        "kind: Service\nmetadata: {name: cart}\n"
+        "spec: {ports: [{port: [80], targetPort: {a: 1}, protocol: 6},"
+        " {port: true, targetPort: http}]}\n",
+        None,
+        {
+            "cart": {
+                "namespace": "default",
+                "replicas": 1,
+                "images": [],
+                "endpoints": [
+                    {"port": None, "target_port": None, "protocol": "TCP"},
+                    {"port": None, "target_port": "http", "protocol": "TCP"},
+                ],
+            }
+        },
+        id="wrong-shaped-values",
+    ),
+    pytest.param(
+        "kind: Deployment\nmetadata: {name: cart, namespace: null}\n",
+        None,
+        {"cart": {"namespace": "default", "replicas": 1, "images": []}},
+        id="null-namespace",
+    ),
 ]
 
 

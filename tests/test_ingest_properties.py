@@ -8,7 +8,7 @@ flat random mapping never gets past.
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from w6hea.ingest import (
@@ -121,6 +121,43 @@ def test_ingest_k8s_and_merge_never_raise(manifests):
     repo = known_microservice()
     proposal, _ = ingest_k8s(SourceDocument("m.yaml", dump(*manifests)), repo)
     merge_proposal(repo, proposal)
+
+
+# Wrong-shaped values in every field the workload and Service branches copy.
+WRONG_SHAPED_VALUES = [
+    {
+        "kind": "Deployment",
+        "metadata": {"name": "cart", "namespace": ["a", "b"]},
+        "spec": {"template": {"spec": {"containers": [{"image": {"x": 1}}]}}},
+    },
+    {
+        "kind": "Service",
+        "metadata": {"name": "cart"},
+        "spec": {
+            "ports": [
+                {"port": [80], "targetPort": {"a": 1}, "protocol": 6},
+                {"port": True, "targetPort": "http"},
+            ]
+        },
+    },
+]
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(shaped(manifest), max_size=3))
+@example(WRONG_SHAPED_VALUES)
+def test_ingest_k8s_proposes_documented_shapes(manifests):
+    proposal, _ = ingest_k8s(SourceDocument("m.yaml", dump(*manifests)))
+    for target in proposal.entities:
+        attributes = target.attributes
+        if "replicas" in attributes:
+            assert isinstance(attributes["namespace"], str)
+            assert type(attributes["replicas"]) is int
+            assert all(isinstance(image, str) for image in attributes["images"])
+        for endpoint in attributes.get("endpoints", []):
+            assert endpoint["port"] is None or type(endpoint["port"]) is int
+            assert endpoint["target_port"] is None or type(endpoint["target_port"]) in (int, str)
+            assert isinstance(endpoint["protocol"], str)
 
 
 @PROPERTY_SETTINGS

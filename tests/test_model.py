@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import w6hea
 from w6hea.model import (
@@ -14,8 +18,12 @@ from w6hea.model import (
     cells,
     interrogative_order,
     prerequisites,
+    slugify,
     unknown_attributes,
 )
+
+from test_ingest_properties import PROPERTY_SETTINGS
+from test_ingest_properties import pytestmark as hypothesis_warning_filter
 
 I = Interrogative
 
@@ -313,3 +321,26 @@ def test_integrity_scan_reports_an_unknown_link_kind_once():
 def test_concern_without_a_view_cell_is_rejected():
     with pytest.raises(ModelError, match="concern 'c1' has no valid cell"):
         Repository().add_concern(Concern("c1", "scope/why"))
+
+
+@pytest.mark.parametrize(
+    "name, slug",
+    [
+        ("Zürich", "zurich"),
+        ("Z rich", "z-rich"),
+        ("Ångström", "angstrom"),
+        ("a订b", "a-b"),
+        ("²", ""),
+        ("ﬁ", ""),
+        ("订单", ""),
+    ],
+)
+def test_slugify_folds_accents(name, slug):
+    assert slugify(name) == slug
+
+
+@hypothesis_warning_filter
+@PROPERTY_SETTINGS
+@given(st.text(st.characters(max_codepoint=127)))
+def test_slugify_is_unchanged_on_ascii(text):
+    assert slugify(text) == re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
