@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
 
-import yaml
-
 from .model import (
     SERVICE_KINDS,
     Interrogative,
@@ -22,7 +20,7 @@ from .model import (
     cells,
     group_id,
 )
-from .repofmt import YamlLoader
+from .yamlload import load
 
 
 # -- coverage ------------------------------------------------------------
@@ -84,7 +82,7 @@ class ElicitationPlan:
 @functools.cache
 def prompt_catalog() -> dict:
     text = resources.files("w6hea.data").joinpath("prompts.yaml").read_text("utf-8")
-    return yaml.load(text, Loader=YamlLoader)
+    return load(text, "prompts.yaml")
 
 
 def elicitation_plan(repo: Repository, view: Optional[View] = None) -> ElicitationPlan:

@@ -24,7 +24,8 @@ from .model import (
     slugify,
     unknown_attributes,
 )
-from .repofmt import Diagnostic, Location, SourceDocument, loader_for, yaml_error
+from .repofmt import Diagnostic, Location, SourceDocument, yaml_error
+from .yamlload import load, load_all
 
 HTTP_VERBS = ("get", "put", "post", "delete", "options", "head", "patch", "trace")
 
@@ -82,7 +83,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
     diags: list[Diagnostic] = []
 
     try:
-        data = yaml.load(doc.text, Loader=loader_for(doc.path))
+        data = load(doc.text, doc.path)
     except yaml.YAMLError as exc:
         diags.append(yaml_error(doc.path, exc))
         return proposal, diags
@@ -168,8 +169,7 @@ def ingest_k8s(
     rows: list[dict] = []
 
     try:
-        manifests = yaml.load_all(doc.text, Loader=loader_for(doc.path))
-        manifests = [m for m in manifests if m is not None]
+        manifests = [m for m in load_all(doc.text, doc.path) if m is not None]
     except yaml.YAMLError as exc:
         diags.append(yaml_error(doc.path, exc))
         return proposal, diags

@@ -243,11 +243,18 @@ def nesting(value) -> int:
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
 
 
+# Letters that Unicode does not decompose into an ASCII letter and marks.
+_LETTERS = str.maketrans(
+    {"ø": "o", "ł": "l", "ß": "ss", "æ": "ae", "œ": "oe", "đ": "d", "þ": "th"}
+    | {"Ø": "O", "Ł": "L", "ẞ": "SS", "Æ": "AE", "Œ": "OE", "Đ": "D", "Þ": "TH"}
+)
+
+
 def slugify(text: str) -> str:
     if not text.isascii():  # fold accents, so "Zürich" is "zurich", not "z-rich"
         import unicodedata
 
-        text = unicodedata.normalize("NFD", text)
+        text = unicodedata.normalize("NFD", text.translate(_LETTERS))
         text = "".join(c for c in text if not unicodedata.combining(c))
     return _SLUG_RE.sub("-", text.lower()).strip("-")
 

@@ -5,26 +5,20 @@ A repository is one or more ``*.ea.yaml`` / ``*.ea.json`` files, each holding
 ``meta``, ``entities``, ``links``, and ``concerns`` sections.  Files are
 combined into a single repository; cross-file references are allowed.  All
 problems are reported as diagnostics pointing at the offending line; parsing
-never raises on malformed input.
+never raises on malformed input.  A file is read by ``yamlload.Reader``: each
+declaration goes to its builder as soon as its values are built.
 """
 
 from __future__ import annotations
 
+import copy
 import io
-import re
 from dataclasses import dataclass
 from typing import Optional
 
 import yaml
-from yaml.composer import Composer, ComposerError
-from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.parser import Parser
-from yaml.reader import Reader, ReaderError
-from yaml.resolver import Resolver
-from yaml.scanner import Scanner
 
 from .model import (
-    FIELD_NESTING_LIMIT,
     Concern,
     Entity,
     Interrogative,
@@ -35,6 +29,7 @@ from .model import (
     ViewCell,
     unknown_attributes,
 )
+from .yamlload import JSON_FLOAT, Reader
 
 
 @dataclass(frozen=True)
@@ -75,131 +70,6 @@ def undecodable(path, exc: UnicodeDecodeError) -> Diagnostic:
     location = Location(str(path), head.count("\n") + 1, len(head) - head.rfind("\n"))
     message = f"not UTF-8: {exc.reason} (byte 0x{exc.object[exc.start]:02x})"
     return Diagnostic("error", message, location)
-
-
-_ALIAS_LIMIT = 100_000  # values aliases may add to one document once expanded
-# Collections one document may nest, the top-level one included.  A file holds
-# attributes and records three levels down (document, section, declaration), so
-# every repository the model accepts is written within this bound.
-_NESTING_LIMIT = FIELD_NESTING_LIMIT + 3
-
-# libyaml scans and parses; the pure-Python classes are the fallback where
-# PyYAML was built without it.  Writing never uses libyaml.
-if yaml.__with_libyaml__:
-    from yaml.cyaml import CParser as _Parser
-else:
-
-    class _Parser(Reader, Scanner, Parser):
-        def __init__(self, stream):
-            Reader.__init__(self, stream)
-            Scanner.__init__(self)
-            Parser.__init__(self)
-
-
-class YamlLoader(Composer, _Parser, SafeConstructor, Resolver):
-    """A safe loader whose every failure on YAML text is a located
-    ``yaml.YAMLError`` and whose ``construct_document`` keeps no state between
-    calls.  PyYAML's Python composer sits on the parser, so that it can reject
-    nesting deeper than ``_NESTING_LIMIT``, a key written twice in one mapping,
-    an alias inside its own anchor, and aliases that expand to more than
-    ``_ALIAS_LIMIT`` values."""
-
-    def __init__(self, stream):
-        try:
-            _Parser.__init__(self, stream)
-        except UnicodeEncodeError as exc:  # libyaml reads UTF-8, which has no lone surrogate
-            character, reason = ord(stream[exc.start]), "special characters are not allowed"
-            raise ReaderError("<unicode string>", exc.start, character, "unicode", reason) from None
-        Composer.__init__(self)
-        SafeConstructor.__init__(self)
-        Resolver.__init__(self)
-
-    def compose_document(self):
-        # collections open; values aliases added; aliased node -> expanded size
-        self.depth, self.expanded, self.sizes = 0, 0, {}
-        return super().compose_document()
-
-    def _nest(self) -> None:
-        """Enter a collection whose start event is next."""
-        self.depth += 1
-        if self.depth > _NESTING_LIMIT:
-            raise ComposerError(None, None, "nesting too deep", self.peek_event().start_mark)
-
-    def compose_node(self, parent, index):
-        if not (self.anchors and self.check_event(yaml.AliasEvent)):  # no anchor, no alias
-            return super().compose_node(parent, index)
-        event = self.peek_event()
-        node = super().compose_node(parent, index)
-        if node.end_mark is None:  # the composer sets it when a collection is done
-            message = f"alias *{event.anchor} is inside its own anchor"
-            raise ComposerError(None, None, message, event.start_mark)
-        self.expanded += self._size(node)
-        if self.expanded > _ALIAS_LIMIT:
-            message = f"aliases expand to more than {_ALIAS_LIMIT} values"
-            raise ComposerError(None, None, message, event.start_mark)
-        return node
-
-    def _size(self, node) -> int:
-        """How many nodes ``node`` stands for once its aliases are expanded."""
-        if node not in self.sizes:
-            children = node.value if isinstance(node, yaml.SequenceNode) else []
-            if isinstance(node, yaml.MappingNode):
-                children = [child for pair in node.value for child in pair]
-            self.sizes[node] = 1 + sum(map(self._size, children))
-        return self.sizes[node]
-
-    def compose_sequence_node(self, anchor):
-        self._nest()
-        node = super().compose_sequence_node(anchor)
-        self.depth -= 1
-        return node
-
-    def compose_mapping_node(self, anchor):
-        self._nest()
-        node, seen = super().compose_mapping_node(anchor), set()
-        self.depth -= 1
-        for key, _ in node.value:  # a key merged in with << may be overridden
-            if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
-                if (key.tag, key.value) in seen:
-                    message = f"found duplicate key {key.value!r}"
-                    raise ComposerError(None, None, message, key.start_mark)
-                seen.add((key.tag, key.value))
-        return node
-
-    def construct_document(self, node):
-        try:
-            return super().construct_document(node)
-        finally:  # a failed call would leave its cache and pending work behind
-            self.constructed_objects, self.recursive_objects = {}, {}
-            self.state_generators, self.deep_construct = [], False
-
-    def construct_object(self, node, deep=False):
-        try:  # of the safe constructors, int, float, bool and timestamp raise these
-            return super().construct_object(node, deep)
-        except (ValueError, LookupError, AttributeError) as exc:
-            message = f"cannot construct {node.value!r}: {exc}"
-            raise ConstructorError(None, None, message, node.start_mark) from None
-
-
-# JSON's number rule: a number with an exponent is a float, where YAML 1.1
-# reads one with no dot or no exponent sign as text.
-_JSON_FLOAT = (
-    "tag:yaml.org,2002:float",
-    re.compile(r"^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
-    list("-0123456789"),
-)
-
-
-class _JsonLoader(YamlLoader):
-    """``YamlLoader`` with JSON's number rule, for files named ``*.json``."""
-
-
-_JsonLoader.add_implicit_resolver(*_JSON_FLOAT)
-
-
-def loader_for(path: str) -> type:
-    """The loader for a document at ``path``: JSON's number rule for ``*.json``."""
-    return _JsonLoader if path.endswith(".json") else YamlLoader
 
 
 def _loc(path: str, mark) -> Location:
@@ -292,6 +162,68 @@ def _concern(fields: dict) -> Concern:
 _SECTIONS = {"entities": _entity, "concerns": _concern, "links": _link}
 
 
+class _RepositoryReader(Reader):
+    """Reads one repository file: each declaration goes to its builder as
+    soon as it is built, and is not kept."""
+
+    def __init__(self, doc: SourceDocument):
+        super().__init__(doc.text, doc.path)
+        self.path, self.diagnostics, self.meta = doc.path, [], {}
+        self.decls: dict[str, list] = {section: [] for section in _SECTIONS}  # [(item, location)]
+
+    def read(self) -> None:
+        for root in self.documents():
+            if root.kind != "mapping":
+                self.report("error", root.mark, "expected a mapping")
+
+    def report(self, severity: str, mark, message: str) -> None:
+        self.diagnostics.append(Diagnostic(severity, message, _loc(self.path, mark)))
+
+    def role(self, parent, mapping):
+        if parent is None:
+            return "root" if mapping else None
+        if parent.role == "root" and not mapping and parent.key and parent.key.text in _SECTIONS:
+            return parent.key.text  # a section's sequence: its items are declarations
+        return None
+
+    def place(self, top, key, value, error, mark, node):
+        if top.role != "root":
+            self.declaration(top.role, value, error, mark, node)
+            return not top.keep
+        name = key.text if key.text is not None else f"<{key.node.kind}>"  # a key that is not a scalar
+        if name == "meta":
+            for mk, mv in (self.build(_meta, value, error, mark, node) or {}).items():
+                self.meta.setdefault(mk, mv)  # the first file's value wins
+        elif name not in _SECTIONS:
+            self.report("warning", key.mark, f"unknown top-level key {name!r} ignored")
+        elif node is None or node.kind != "sequence":
+            self.report("error", mark, "expected a sequence")
+        elif node.role != name:  # an alias: the anchor's items are declarations again
+            for item in node.raw:
+                self.declaration(name, copy.deepcopy(item.value), item.err, item.mark, item)
+        return True
+
+    def declaration(self, section: str, value, error, mark, node) -> None:
+        item = self.build(_SECTIONS[section], value, error, mark, node)
+        if item is not None:
+            self.decls[section].append((item, _loc(self.path, mark)))
+
+    def build(self, builder, value, error, mark, node):
+        """What ``builder`` makes of a declaration's value; None on error."""
+        if error:
+            self.diagnostics.append(yaml_error(self.path, error[1]))
+            return None
+        if not isinstance(value, dict):
+            self.report("error", mark, "expected a mapping")
+            return None
+        try:
+            return builder(value)
+        except _Invalid as exc:
+            message, key = exc.args
+            self.report("error", node.marks.get(key, mark), message)  # at the value of ``key``
+            return None
+
+
 def parse_repository(
     docs: list[SourceDocument],
 ) -> tuple[Optional[Repository], list[Diagnostic]]:
@@ -299,60 +231,24 @@ def parse_repository(
 
     Returns ``(repository, diagnostics)``; the repository is None when any
     error-severity diagnostic was produced.  Output is independent of the
-    order entities/links/concerns appear in, across and within files.
+    order entities/links/concerns appear in, across and within files.  A file
+    whose YAML cannot be read is one error and contributes nothing else.
     """
     diagnostics: list[Diagnostic] = []
     meta: dict = {}
     decls: dict[str, list] = {section: [] for section in _SECTIONS}  # [(item, location)]
-    constructor = YamlLoader("")  # builds each declaration, keeping nothing between them
-
-    def report(severity: str, path: str, node, message: str) -> None:
-        diagnostics.append(Diagnostic(severity, message, _loc(path, node.start_mark)))
-
-    def build(path: str, node, builder):
-        """What ``builder`` makes of the mapping ``node`` holds; None on error."""
-        try:
-            fields = constructor.construct_document(node)
-        except yaml.YAMLError as exc:
-            diagnostics.append(yaml_error(path, exc))
-            return None
-        if not isinstance(fields, dict):
-            report("error", path, node, "expected a mapping")
-            return None
-        try:
-            return builder(fields)
-        except _Invalid as exc:
-            message, key = exc.args
-            # Explicit keys follow merged ones, so the last match holds the value.
-            at = next((v for k, v in reversed(node.value) if k.value == key), node)
-            report("error", path, at, message)
-            return None
-
     for doc in docs:
         try:
-            roots = list(yaml.compose_all(doc.text, Loader=loader_for(doc.path)))
+            reader = _RepositoryReader(doc)
+            reader.read()
         except yaml.YAMLError as exc:
             diagnostics.append(yaml_error(doc.path, exc))
             continue
-        for root in roots:
-            if not isinstance(root, yaml.MappingNode):
-                report("error", doc.path, root, "expected a mapping")
-                continue
-            for key_node, value_node in root.value:
-                key = key_node.value  # a key that is not a scalar is named by its node type
-                key = key if isinstance(key_node, yaml.ScalarNode) else f"<{key_node.id}>"
-                if key == "meta":
-                    for mk, mv in (build(doc.path, value_node, _meta) or {}).items():
-                        meta.setdefault(mk, mv)  # the first file's value wins
-                elif key not in _SECTIONS:
-                    report("warning", doc.path, key_node, f"unknown top-level key {key!r} ignored")
-                elif isinstance(value_node, yaml.SequenceNode):
-                    for node in value_node.value:
-                        item = build(doc.path, node, _SECTIONS[key])
-                        if item is not None:
-                            decls[key].append((item, _loc(doc.path, node.start_mark)))
-                else:
-                    report("error", doc.path, value_node, "expected a sequence")
+        diagnostics += reader.diagnostics
+        for section, found in reader.decls.items():
+            decls[section] += found
+        for key, value in reader.meta.items():
+            meta.setdefault(key, value)
 
     repo = Repository(**meta)  # a name or version no file gives keeps its default
 
@@ -498,7 +394,7 @@ class _CanonicalWriter(yaml.SafeDumper):
 
 # The canonical text reads back the same from a *.json file, which
 # ``fmt --write`` may write it to.
-_CanonicalWriter.add_implicit_resolver(*_JSON_FLOAT)
+_CanonicalWriter.add_implicit_resolver(*JSON_FLOAT)
 
 
 def serialize_repository(repo: Repository) -> str:

@@ -333,6 +333,14 @@ def test_concern_without_a_view_cell_is_rejected():
         ("²", ""),
         ("ﬁ", ""),
         ("订单", ""),
+        ("Øresund", "oresund"),  # not "resund", the slug of "Resund"
+        ("Łódź", "lodz"),
+        ("Straße", "strasse"),
+        ("STRAẞE", "strasse"),
+        ("Æsir and Œuvre", "aesir-and-oeuvre"),
+        ("Đakovo", "dakovo"),
+        ("Þórr", "thorr"),
+        ("øłßæœđþ", "olssaeoedth"),
     ],
 )
 def test_slugify_folds_accents(name, slug):

@@ -214,6 +214,9 @@ YAML_VALUE_CASES = [
         ENTITY + "    attributes: {released: !!timestamp 2020-99-99}\n", 4, id="timestamp-tag"
     ),
     pytest.param(ENTITY + "    attributes: {replicas: !!int x}\n", 4, id="int-tag"),
+    pytest.param(  # PyYAML matches the mapping, not the "=" key's value, and raised TypeError
+        ENTITY + "    attributes: {released: !!timestamp {=: x}}\n", 4, id="scalar-tag-over-value-key"
+    ),
     pytest.param("entities:\n  - kind: microservice\n    name: !foo x\n", 3, id="unknown-tag"),
     pytest.param(ENTITY + "    ? [a]\n    : 1\n", 4, id="sequence-key"),
     pytest.param("meta:\n  name: shop\n  ? [a]\n  : 1\n", 3, id="sequence-key-in-meta"),
@@ -305,6 +308,23 @@ def test_entities_built_from_one_anchor_are_independent():
     cart, orders = repo.entities["microservice.cart"], repo.entities["microservice.orders"]
     assert cart.attributes == orders.attributes
     assert cart.attributes is not orders.attributes
+
+
+def test_a_merge_error_in_an_anchored_value_is_reported_wherever_it_is_used():
+    # PyYAML's flatten_mapping deleted the failing merge key from the shared
+    # node, so the second entity used to read {k: v} without an error.
+    text = (
+        "x: &a {<<: 1, k: v}\n"
+        "entities:\n"
+        "  - {kind: api, name: a, attributes: *a}\n"
+        "  - {kind: api, name: b, attributes: *a}\n"
+    )
+    repo, diagnostics = parse_text(text)
+    assert repo is None
+    assert [(d.severity, str(d.location)) for d in diagnostics] == [
+        ("warning", "repo.ea.yaml:1:1"), ("error", "repo.ea.yaml:1:12"), ("error", "repo.ea.yaml:1:12")
+    ]
+    assert "expected a mapping or list of mappings for merging" in diagnostics[1].message
 
 
 def test_canonical_output_has_no_anchors():

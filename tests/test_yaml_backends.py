@@ -1,27 +1,32 @@
-"""The loader runs on libyaml where PyYAML has it, and then agrees with the
-pure-Python build of the same module; the canonical text parses back and is
-what PyYAML's own emitter writes.
+"""The reader runs on libyaml's parser where PyYAML has it, and then agrees
+with the pure-Python build of the same modules and with the loader it
+replaced; the canonical text parses back and is what PyYAML's own emitter
+writes.
 
-``pure`` is ``w6hea.repofmt`` executed a second time while PyYAML reports no
-libyaml, so its ``YamlLoader`` is the fallback class: the same composer and
-constructor on PyYAML's Python reader, scanner and parser.
+``pure`` is ``w6hea.repofmt`` executed a second time, on a ``w6hea.yamlload``
+executed while PyYAML reports no libyaml, so it reads events from PyYAML's
+Python reader, scanner and parser.  ``tests/yaml_reference.py`` holds the
+loader that composed a node tree with PyYAML's Python composer, and the
+``parse_repository`` that built declarations from it, on either parser.
 """
 
 import datetime
 import importlib.util
 import random
 import re
+import sys
 
 import pytest
 import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
-from yaml.composer import Composer
 
-from conftest import load_fixture_repo
+import yaml_reference
+from conftest import FIXTURES, load_fixture_repo
 from test_ingest_properties import PROPERTY_SETTINGS, names, yaml_values
 from test_ingest_properties import pytestmark as hypothesis_warning_filter
-from test_repofmt import repository_texts
+from test_repofmt import DECLARATION_ERRORS, YAML_VALUE_CASES, repository_texts
+from w6hea import yamlload
 from w6hea.model import (
     ENTITY_KINDS,
     LINK_SIGNATURES,
@@ -33,50 +38,84 @@ from w6hea.model import (
     Repository,
     cells,
 )
-from w6hea.repofmt import SourceDocument, YamlLoader, parse_repository, serialize_repository
+from w6hea.repofmt import SourceDocument, parse_repository, serialize_repository
+from w6hea.yamlload import load, load_all
 
 
-def pure_python_repofmt():
-    spec = importlib.util.find_spec("w6hea.repofmt")
+def executed(name: str):
+    spec = importlib.util.find_spec(name)
     module = importlib.util.module_from_spec(spec)
-    with_libyaml, yaml.__with_libyaml__ = yaml.__with_libyaml__, False
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        yaml.__with_libyaml__ = with_libyaml
+    spec.loader.exec_module(module)
     return module
 
 
-pure = pure_python_repofmt()
+def pure_python_modules() -> tuple:
+    """``w6hea.repofmt`` and the ``w6hea.yamlload`` it reads with, executed
+    while PyYAML reports no libyaml."""
+    with_libyaml, yaml.__with_libyaml__ = yaml.__with_libyaml__, False
+    loader = sys.modules["w6hea.yamlload"]
+    try:
+        sys.modules["w6hea.yamlload"] = executed("w6hea.yamlload")
+        return executed("w6hea.repofmt"), sys.modules["w6hea.yamlload"]
+    finally:
+        sys.modules["w6hea.yamlload"] = loader
+        yaml.__with_libyaml__ = with_libyaml
+
+
+pure, pure_yamlload = pure_python_modules()
+BACKENDS = [  # (repofmt, yamlload, the reference on the same parser)
+    (sys.modules["w6hea.repofmt"], yamlload, yaml_reference.reference_module(libyaml=True)),
+    (pure, pure_yamlload, yaml_reference.reference_module(libyaml=False)),
+]
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
-def test_libyaml_parses_under_the_python_composer():
+def test_libyaml_supplies_the_events_and_no_composer(monkeypatch):
     from yaml.cyaml import CParser
 
-    assert issubclass(YamlLoader, CParser)
-    assert YamlLoader.get_single_node is Composer.get_single_node  # not libyaml's composer
-    assert not issubclass(pure.YamlLoader, CParser)
+    class EventsOnly(CParser):
+        def composer_used(self, *args):
+            raise AssertionError("libyaml's composer was used")
+
+        check_node = get_node = get_single_node = composer_used
+
+    assert yamlload._Parser is CParser
+    assert not issubclass(pure_yamlload._Parser, CParser)
+    text = (FIXTURES / "compliant.ea.yaml").read_text(encoding="utf-8")
+    expected = parse_repository([SourceDocument("compliant.ea.yaml", text)])
+    monkeypatch.setattr(yamlload, "_Parser", EventsOnly)
+    assert parse_repository([SourceDocument("compliant.ea.yaml", text)]) == expected
+    assert load_all(text, "compliant.ea.yaml") == [yaml.safe_load(text)]
 
 
-def tree(node):
-    """Type, tag, value and marks of a node and its children (not its style)."""
-    if isinstance(node, yaml.ScalarNode):
-        value = node.value
-    elif isinstance(node, yaml.SequenceNode):
-        value = [tree(child) for child in node.value]
-    else:
-        value = [(tree(key), tree(child)) for key, child in node.value]
-    marks = [(mark.line, mark.column) for mark in (node.start_mark, node.end_mark)]
-    return node.id, node.tag, value, marks
+def parsed(module, text: str, path: str) -> tuple:
+    """The repository and the diagnostics of parsing ``text`` as ``path``."""
+    return module.parse_repository([SourceDocument(path, text)])
 
 
-def composed(loader, text):
+def loaded(load, text: str) -> tuple:
     try:
-        return [tree(root) for root in yaml.compose_all(text, Loader=loader)]
+        return "value", load(text)
     except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        return "error", mark and (mark.line, mark.column)
+        return "error", str(exc)
+
+
+def assert_reads_as_the_reference(text: str, path: str = "repo.ea.yaml") -> None:
+    """Under each parser, ``parse_repository``, ``load`` and ``load_all`` give
+    what the composing loader gave: the same repository, values, diagnostics
+    and error messages, at the same places.  Under the two parsers, the same
+    repository and diagnostics at the same places."""
+    locations = []
+    for module, reader, ref in BACKENDS:
+        (repo, diagnostics), (ref_repo, ref_diagnostics) = parsed(module, text, path), parsed(ref, text, path)
+        assert (repo, [str(d) for d in diagnostics]) == (ref_repo, [str(d) for d in ref_diagnostics])
+        loader = ref.loader_for(path)
+        assert loaded(lambda t: reader.load(t, path), text) == loaded(lambda t: yaml.load(t, Loader=loader), text)
+        assert loaded(lambda t: reader.load_all(t, path), text) == loaded(
+            lambda t: list(yaml.load_all(t, Loader=loader)), text
+        )
+        locations.append((repo, [(d.severity, str(d.location)) for d in diagnostics]))
+    assert locations[0] == locations[1]
 
 
 # Block-style documents, beside the flow-style repository texts with broken fragments.
@@ -87,9 +126,58 @@ block_documents = st.lists(yaml_values, min_size=1, max_size=3).map(
 
 @hypothesis_warning_filter
 @PROPERTY_SETTINGS
-@given(repository_texts | block_documents)
-def test_loader_composes_what_the_pure_python_loader_composes(text):
-    assert composed(YamlLoader, text) == composed(pure.YamlLoader, text)
+@given(repository_texts | block_documents, st.sampled_from(["repo.ea.yaml", "repo.ea.json"]))
+def test_reader_reads_what_the_composing_loader_read(text, path):
+    assert_reads_as_the_reference(text, path)
+
+
+# What the strategies do not reach: errors in anchored and nested values, merges
+# of lists and merges within merges, aliased sections and keys, ordered maps,
+# pairs and sets, the value key "=", keys equal once constructed, several
+# documents, anchors defined twice, and tags the safe constructors refuse.
+EDGE_TEXTS = [
+    "x: &a {k: !!int bad, j: 1}\nentities:\n  - {kind: api, name: a, attributes: *a}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {a: {b: !!int x}, c: 2024-02-30}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {p: {x: 1, y: !!int bad}, q: {x: !!int worse}}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {!!set x: 1, y: !!int z}}\n",
+    "entities:\n  - <<: [{kind: api}, {kind: microservice, name: b}]\n    <<: {name: a}\n",
+    "entities:\n  - <<: [{kind: api}, 1]\n    name: a\n",
+    "entities:\n  - {<<: {<<: {kind: api, name: a}}, name: b}\n",
+    "entities:\n  - {<<: {<<: [x]}, name: b}\n",
+    "e: &e [{kind: api, name: a}, {kind: api, name: [b]}, 3]\nentities: *e\nlinks: *e\n",
+    "entities:\n  - {kind: api, name: a, attributes: {o: !!omap [{a: 1}, {b: [2]}], p: !!pairs [{a: 1}, {a: 2}]}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {o: !!omap [{a: 1, b: 2}]}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {o: !!omap [{<<: 1}], s: !!set {a, b}}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {o: !!omap {a: 1}, q: !!seq {a: 1}, r: !!str [1]}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {=: 1, !!value v: 2, w: =}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {1: a, 1.0: b, '1': c, !!str 1: d}}\n",
+    "&r {meta: {name: x}, *r : 1}\n",
+    "m: &m meta\n*m : {name: shop}\nentities: &s [&d {kind: api, name: a}, *d]\n",
+    "meta: {name: a}\n---\n- 1\n---\nmeta: {name: b}\nentities: [{kind: api, name: c}]\n",
+    "entities: [{kind: api, name: a}]\n---\nentities: [*undefined]\n",
+    "entities: [&a {kind: api, name: a}, &a {kind: api, name: b}]\n",
+    "entities:\n  - !foo {kind: api, name: a}\n  - !!set {kind, name}\n  - {kind: api, name: b, attributes: {t: 2001-12-14t21:59:43.10-05:00}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {b: !!binary aGk=, c: !!binary '@@'}}\n",
+    "- &x [1, 2]\n- {<<: *x}\n",
+    "[1, *x]\n",
+    "a: 1\n...\n--- !!str\nb\n",
+    "entities:\n  - {kind: api, name: a, attributes: {? !!omap [{a: 1}] : 1, k: [{? [a] : 1}]}}\n",
+]
+REFERENCE_RAISES = {"scalar-tag-over-value-key"}  # TypeError, out of PyYAML's timestamp constructor
+TEXTS = (
+    [
+        pytest.param(case.values[0], id=case.id)
+        for case in YAML_VALUE_CASES + DECLARATION_ERRORS
+        if case.id not in REFERENCE_RAISES
+    ]
+    + [pytest.param(text, id=f"edge-{n}") for n, text in enumerate(EDGE_TEXTS)]
+    + [pytest.param(path.read_text(encoding="utf-8"), id=path.name) for path in sorted(FIXTURES.glob("*.yaml"))]
+)
+
+
+@pytest.mark.parametrize("text", TEXTS)
+def test_reader_reads_cases_and_fixtures_as_the_composing_loader(text):
+    assert_reads_as_the_reference(text)
 
 
 finite_values = st.recursive(  # NaN is not equal to itself, so no round trip holds it
@@ -288,7 +376,7 @@ def test_declaration_order_does_not_matter(repo, rng):
     """The canonical declarations, split over one to three files and shuffled
     within and across them, parse to the same canonical text and diagnostics."""
     canonical = serialize_repository(repo)
-    declarations = yaml.load(canonical, Loader=YamlLoader)
+    declarations = load(canonical, "repo.ea.yaml")
     files = [{"entities": [], "links": [], "concerns": []} for _ in range(rng.randint(1, 3))]
     rng.choice(files)["meta"] = declarations["meta"]
     for section in ("entities", "links", "concerns"):
