@@ -105,36 +105,59 @@ def elicitation_plan(repo: Repository, view: Optional[View] = None) -> Elicitati
 @dataclass
 class ValueGraph:
     """Undirected weighted graph over entities, concerns, and stakeholder
-    groups; parallel edges are combined by summing weights."""
+    groups; parallel edges are combined by summing weights.
+
+    A graph changes only through ``add_node`` and ``add_edge``, as a
+    repository changes only through its adders.  The graph keeps what
+    ``adjacency`` builds until one of them is called again, so that every
+    clustering of one graph shares one build; equality and ``repr`` ignore it.
+    """
 
     node_kinds: dict[str, str] = field(default_factory=dict)
     edge_weights: dict[tuple[str, str], float] = field(default_factory=dict)
+    _adjacency: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def add_node(self, node: str, kind: str) -> None:
         self.node_kinds.setdefault(node, kind)
+        self._adjacency = None
 
     def add_edge(self, a: str, b: str, weight: float = 1.0) -> None:
         if a == b:
             return
         key = (a, b) if a < b else (b, a)
         self.edge_weights[key] = self.edge_weights.get(key, 0.0) + weight
+        self._adjacency = None
 
     @property
     def nodes(self) -> list[str]:
         return sorted(self.node_kinds)
 
+    def adjacency(self) -> tuple[list[str], list[list[tuple[int, float]]]]:
+        """The sorted nodes, and each node's ``(neighbor index, weight)``
+        pairs by its index there, in edge order; built on first use and
+        shared by every caller, so not to be changed."""
+        if self._adjacency is None:
+            nodes = self.nodes
+            index = {node: idx for idx, node in enumerate(nodes)}
+            neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
+            for (a, b), weight in self.edge_weights.items():  # each list keeps edge order
+                neighbors[index[a]].append((index[b], weight))
+                neighbors[index[b]].append((index[a], weight))
+            self._adjacency = nodes, neighbors
+        return self._adjacency
+
 
 def build_value_graph(repo: Repository) -> ValueGraph:
     g = ValueGraph()
-    for e in repo.entities.values():
-        g.add_node(e.id, e.kind)
+    for eid, e in repo.entities.items():  # the adders key every entity by its id
+        g.add_node(eid, e.kind)
+    groups = {view: [group_id(group) for group in view.stakeholder_groups] for view in View}
     for c in repo.concerns.values():
         g.add_node(c.id, "concern")
         for ref in c.entity_refs:
             g.add_node(ref, repo.entities[ref].kind if ref in repo.entities else "entity")
             g.add_edge(c.id, ref, 1.0)
-        for group in c.cell.view.stakeholder_groups:
-            gid = group_id(group)
+        for gid in groups[c.cell.view]:
             g.add_node(gid, "stakeholder_group")
             g.add_edge(c.id, gid, 1.0)
     for l in repo.links.values():
@@ -174,7 +197,7 @@ def value_scores(repo: Repository, weights: Optional[dict] = None) -> dict[str, 
     """
     w = _view_weights(weights)
     scores: dict[str, float] = {
-        e.id: 0.0 for e in repo.entities.values() if e.kind in SERVICE_KINDS
+        eid: 0.0 for eid, e in repo.entities.items() if e.kind in SERVICE_KINDS
     }
 
     refs_by_entity: dict[str, list] = {}
@@ -249,14 +272,9 @@ def cluster_graph(g: ValueGraph, seed: int = 0) -> list[set[str]]:
     on its neighbors' labels and its own, and its own label changes only
     when it is visited.
     """
-    nodes = g.nodes
-    if not nodes:
+    if not g.node_kinds:
         return []
-    index = {node: idx for idx, node in enumerate(nodes)}
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    for (a, b), weight in g.edge_weights.items():  # each list keeps edge order
-        neighbors[index[a]].append((index[b], weight))
-        neighbors[index[b]].append((index[a], weight))
+    nodes, neighbors = g.adjacency()
     labels = list(range(len(nodes)))
     stale = [True] * len(nodes)
     rng = random.Random(seed)

@@ -283,6 +283,9 @@ class Entity:
 
     @property
     def id(self) -> str:
+        """Derived from kind and name on every access, which runs ``slugify``;
+        ``Repository.entities`` keys each entity by this id, so a loop over
+        a repository's entities can read it from the key instead."""
         return entity_id(self.kind, self.name)
 
 

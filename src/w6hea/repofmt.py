@@ -276,11 +276,16 @@ def parse_repository(
     return repo, diagnostics
 
 
+class _Pair(tuple):
+    """One ``(key, value)`` item of an ordered map, written as a mapping of one pair."""
+
+
 class _CanonicalWriter(yaml.SafeDumper):
     """Writes a value as ``SafeDumper`` does with sorted keys, Unicode, block
     style and width 100, but never with anchors and aliases, and with a string
-    holding U+0085 double-quoted, where it is escaped as ``\\N``, and with text
-    that JSON's number rule reads as a number (``1e3``) quoted.  The emitter's
+    holding U+0085 double-quoted, where it is escaped as ``\\N``, with text
+    that JSON's number rule reads as a number (``1e3``) quoted, and with a
+    non-empty list of pairs (an ordered map as read) as ``!!pairs``.  The emitter's
     own rules choose each scalar's style and tag, and its writers fold what does
     not fit; in place of the serializer and the emitter's event states, one loop
     takes pending steps off a stack, so deep values cannot exhaust the call stack.
@@ -317,12 +322,17 @@ class _CanonicalWriter(yaml.SafeDumper):
         """Write ``value`` inside a collection at ``indent``; a collection
         pushes its entries as steps."""
         kind = type(value)
-        if kind not in (dict, list, set, tuple):
+        if kind not in (dict, list, set, tuple, _Pair):
             return self.scalar(self.form(value), indent + 2, False)
         if kind is set:
             self.write_indicator("!!set", True)
             value, kind = dict.fromkeys(value), dict
-        if kind is dict:
+        elif kind is list and value and all(type(item) is tuple and len(item) == 2 for item in value):
+            self.write_indicator("!!pairs", True)  # !!omap and !!pairs read as such a list
+            value = [_Pair(item) for item in value]
+        if kind is _Pair:  # a mapping of one pair, whatever its key
+            items, indicator, indent = [value], None, indent + 2
+        elif kind is dict:
             items, indicator, indent = list(value.items()), None, indent + 2
             try:
                 items = sorted(items)
@@ -337,10 +347,10 @@ class _CanonicalWriter(yaml.SafeDumper):
         self.steps += [(indent, indicator, item) for item in reversed(items)]
 
     def entry(self, key, value, indent: int) -> None:
-        form = None if type(key) is tuple else self.form(key)
+        form = None if type(key) in (dict, list, set, tuple) else self.form(key)
         if form and form[3]:
             self.scalar(form, indent + 2, True)
-        elif form is None and not key:  # an empty sequence is a simple key
+        elif form is None and not key:  # an empty collection is a simple key
             self.node(key, indent, True)
         else:
             self.write_indicator("?", True, indention=True)

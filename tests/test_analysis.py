@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from w6hea.analysis import (
     ValueGraph,
+    _view_weights,
     build_value_graph,
     cluster_graph,
     coverage_matrix,
@@ -20,6 +21,7 @@ from w6hea.analysis import (
     value_scores,
 )
 from w6hea.model import (
+    SERVICE_KINDS,
     Concern,
     Entity,
     Interrogative,
@@ -63,7 +65,36 @@ def brute_force_scores(repo, weights=None):
     return scores
 
 
-def random_repository(rng):
+def reference_value_scores(repo, weights=None):
+    """``value_scores`` as it was when it read each service's id from
+    ``Entity.id``; its floats are the ones to match, bit for bit."""
+    w = _view_weights(weights)
+    scores = {e.id: 0.0 for e in repo.entities.values() if e.kind in SERVICE_KINDS}
+
+    refs_by_entity = {}
+    for c in repo.concerns.values():
+        for ref in c.entity_refs:
+            refs_by_entity.setdefault(ref, []).append(c)
+
+    for eid in scores:
+        for c in refs_by_entity.get(eid, []):
+            scores[eid] += w[c.cell.view]
+
+    for l in repo.links_of_kind("motivated_by"):
+        if l.source in scores and l.target in repo.concerns:
+            scores[l.source] += w[repo.concerns[l.target].cell.view] * l.weight
+
+    for l in repo.links_of_kind("exposes"):
+        if l.target in scores:
+            for c in refs_by_entity.get(l.source, []):
+                scores[l.target] += w[c.cell.view] * l.weight
+
+    return scores
+
+
+def random_repository(rng, link_weights=None):
+    """Services, APIs, exposes links, concerns and motivated_by links; link
+    weights are drawn from ``link_weights`` when given."""
     repo = Repository()
     n_services = rng.randint(1, 6)
     n_apis = rng.randint(0, 4)
@@ -76,7 +107,7 @@ def random_repository(rng):
     for aid in api_ids:
         if rng.random() < 0.7:
             target = rng.choice(svc_ids)
-            repo.add_link(Link("exposes", aid, target, weight=rng.choice([0.5, 1.0, 2.0])))
+            repo.add_link(Link("exposes", aid, target, weight=rng.choice(link_weights or [0.5, 1.0, 2.0])))
     non_consumer = [c for c in cells() if c.view is not View.CONSUMER]
     for cidx in range(rng.randint(0, 6)):
         cell = rng.choice(non_consumer)
@@ -87,7 +118,7 @@ def random_repository(rng):
     for eid in svc_ids + api_ids:
         if repo.concerns and rng.random() < 0.4:
             target = rng.choice(sorted(repo.concerns))
-            repo.add_link(Link("motivated_by", eid, target, weight=rng.choice([1.0, 3.0])))
+            repo.add_link(Link("motivated_by", eid, target, weight=rng.choice(link_weights or [1.0, 3.0])))
     return repo
 
 
@@ -200,6 +231,37 @@ class TestScores:
             assert got.keys() == want.keys()
             for eid in got:
                 assert got[eid] == pytest.approx(want[eid], abs=1e-9)
+
+
+# Weights whose sums depend on the order they are added in: 0.1 + 0.2 + 0.7
+# is 0.9999999999999999, and 0.7 + 0.2 + 0.1 is 1.0.
+ORDER_SENSITIVE = [0.1, 0.2, 1 / 3, 0.7]
+
+
+def assert_same_floats(got, want):
+    """The same keys in the same order, and the same float bits for each."""
+    assert [(k, repr(v)) for k, v in got.items()] == [(k, repr(v)) for k, v in want.items()]
+
+
+class TestScoresMatchTheReference:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_on_fixtures(self, name):
+        repo = load_fixture_repo(name)
+        rng = random.Random(name)
+        for weights in [None] + [{v.value: rng.choice(ORDER_SENSITIVE) for v in View} for _ in range(5)]:
+            assert_same_floats(value_scores(repo, weights), reference_value_scores(repo, weights))
+
+    def test_on_random_repositories_with_order_sensitive_weights(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            repo = random_repository(rng, link_weights=ORDER_SENSITIVE)
+            for eid in list(repo.entities):  # several motivated_by links into one service
+                for cid in repo.concerns:
+                    link = Link("motivated_by", eid, cid, rng.choice(ORDER_SENSITIVE))
+                    if link.id not in repo.links and rng.random() < 0.3:
+                        repo.add_link(link)
+            weights = {v.value: rng.choice(ORDER_SENSITIVE) for v in View}
+            assert_same_floats(value_scores(repo, weights), reference_value_scores(repo, weights))
 
 
 class TestRetirement:
@@ -400,6 +462,39 @@ def test_cluster_graph_matches_the_reference_on_fixtures(name):
     g = build_value_graph(load_fixture_repo(name))
     for seed in range(8):
         assert cluster_graph(g, seed) == reference_cluster_graph(g, seed)
+
+
+def two_cliques():
+    """Two triangles joined by one light edge, c-x."""
+    g = ValueGraph()
+    clique(g, ["a", "b", "c"])
+    clique(g, ["x", "y", "z"])
+    g.add_edge("c", "x", 0.5)
+    return g
+
+
+GRAPH_CHANGES = {
+    "edge": lambda g: (g.add_edge("a", "x", 3.0), g.add_edge("b", "y", 3.0)),
+    "repeated-edge": lambda g: g.add_edge("x", "c", 9.5),
+    "node": lambda g: g.add_node("d", "api"),
+}
+
+
+@pytest.mark.parametrize("change", GRAPH_CHANGES)
+def test_a_graph_changed_after_clustering_is_clustered_as_changed(change):
+    g = two_cliques()
+    before = [cluster_graph(g, seed) for seed in range(4)]
+    GRAPH_CHANGES[change](g)
+    after = [cluster_graph(g, seed) for seed in range(4)]
+    assert after == [reference_cluster_graph(g, seed) for seed in range(4)]
+    assert after != before
+
+
+def test_kept_adjacency_is_no_part_of_a_graphs_value():
+    clustered, fresh = two_cliques(), two_cliques()
+    cluster_graph(clustered, 0)
+    assert clustered == fresh
+    assert repr(clustered) == repr(fresh)
 
 
 def _components(g):

@@ -516,6 +516,28 @@ def test_next_line_character_round_trips():
     assert parse_text(text) == (repo, [])
 
 
+# Ordered maps and pairs read as lists of (key, value) tuples: in order, with
+# repeated keys and keys of any kind.  An empty list is not one of them.
+ORDERED_MAPS = [
+    "!!omap [{a: 1}, {b: [2]}]",
+    "!!pairs [{a: 1}, {a: 2}, {b: {c: 3}}]",
+    "!!pairs [{[x]: 1}, {? {k: v} : 2}, {'': !!omap [{z: 0}]}, {[]: {}}]",
+    "[!!omap [{a: 1}], [], !!pairs [{1: null}, {a: !!pairs [{b: c}]}]]",
+    "[]",
+]
+
+
+@pytest.mark.parametrize("value", ORDERED_MAPS)
+def test_ordered_maps_round_trip(value):
+    repo, diagnostics = parse_text(
+        f"entities:\n  - {{kind: microservice, name: cart, attributes: {{tech_stack: {value}}}}}\n"
+    )
+    assert diagnostics == []
+    text = serialize_repository(repo)
+    assert parse_text(text) == (repo, [])
+    assert serialize_repository(parse_text(text)[0]) == text
+
+
 CONCERN = "concerns:\n  - id: c1\n    view: scope\n    interrogative: why\n"
 DEEP = NESTING_LIMIT - 1  # one level down in meta; the name itself would be two
 

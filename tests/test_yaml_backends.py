@@ -273,11 +273,21 @@ def test_canonical_text_parses_back(repo):
 
 class ReferenceDumper(yaml.SafeDumper):
     """PyYAML's safe emitter with the canonical text's departures: a shared
-    value is written as copies, a string holding U+0085 is double-quoted, and
-    text that JSON reads as a number (``1e3``) is quoted."""
+    value is written as copies, a string holding U+0085 is double-quoted,
+    text that JSON reads as a number (``1e3``) is quoted, and a non-empty list
+    of pairs is written as ``!!pairs`` of one-pair mappings."""
 
     def ignore_aliases(self, data):
         return True
+
+    def represent_list(self, data):
+        if data and all(type(item) is tuple and len(item) == 2 for item in data):
+            pairs = [
+                yaml.MappingNode("tag:yaml.org,2002:map", [(self.represent_data(k), self.represent_data(v))])
+                for k, v in data
+            ]
+            return yaml.SequenceNode("tag:yaml.org,2002:pairs", pairs, flow_style=False)
+        return super().represent_list(data)
 
     def analyze_scalar(self, scalar):
         analysis = super().analyze_scalar(scalar)
@@ -287,6 +297,7 @@ class ReferenceDumper(yaml.SafeDumper):
         return analysis
 
 
+ReferenceDumper.add_representer(list, ReferenceDumper.represent_list)
 ReferenceDumper.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
@@ -351,6 +362,10 @@ FOLDED = " ".join(f"word{i:02}" for i in range(43))  # 300 characters
 @example(with_attributes({"tech_stack": {1: "a", "b": "c"}}))
 @example(with_attributes({"tech_stack": {(): "v"}}))  # an empty sequence is a simple key
 @example(with_attributes({"tech_stack": ["1e3", "-2.5E+3", "1.0e+3", "1e"], "0e0": 1}))
+@example(with_attributes({  # ordered maps and pairs, as the safe loader reads them
+    "tech_stack": [("a", 1), ("a", [("b", 2)]), (["x"], {"k": "v"}), ({"k": "v"}, 2), ("", 0), ((), {})],
+    "owner": [[("a", 1)], [], [("", None)]],
+}))
 def test_canonical_text_is_what_the_safe_emitter_writes(repo):
     assert serialize_repository(repo) == reference_text(repo)
 
