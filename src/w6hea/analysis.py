@@ -85,9 +85,10 @@ def prompt_catalog() -> dict:
     return load(text, "prompts.yaml")
 
 
-def elicitation_plan(repo: Repository, view: Optional[View] = None) -> ElicitationPlan:
-    """Ordered questions for one view or all views, one per cell of the
-    coverage matrix; a prompt is answered iff its cell is non-empty."""
+def elicitation_plan(repo: Repository, view: View | str | None = None) -> ElicitationPlan:
+    """Ordered questions, one per cell of the coverage matrix, for one view (a
+    ``View`` or its name) or all; a prompt is answered iff its cell is non-empty."""
+    view = None if view is None else View(view)
     catalog = prompt_catalog()
     prompts = []
     for cc in coverage_matrix(repo).cells:
@@ -107,14 +108,15 @@ class ValueGraph:
     """Undirected weighted graph over entities, concerns, and stakeholder
     groups; parallel edges are combined by summing weights.
 
-    A graph changes only through ``add_node`` and ``add_edge``, as a
-    repository changes only through its adders.  The graph keeps what
+    A graph starts empty and changes only through ``add_node`` and
+    ``add_edge``, as a repository changes only through its adders;
+    ``add_edge`` refuses an end that is not a node.  The graph keeps what
     ``adjacency`` builds until one of them is called again, so that every
     clustering of one graph shares one build; equality and ``repr`` ignore it.
     """
 
-    node_kinds: dict[str, str] = field(default_factory=dict)
-    edge_weights: dict[tuple[str, str], float] = field(default_factory=dict)
+    node_kinds: dict[str, str] = field(default_factory=dict, init=False)
+    edge_weights: dict[tuple[str, str], float] = field(default_factory=dict, init=False)
     _adjacency: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def add_node(self, node: str, kind: str) -> None:
@@ -124,6 +126,9 @@ class ValueGraph:
     def add_edge(self, a: str, b: str, weight: float = 1.0) -> None:
         if a == b:
             return
+        if a not in self.node_kinds or b not in self.node_kinds:
+            missing = [repr(end) for end in (a, b) if end not in self.node_kinds]
+            raise ValueError(f"edge {a!r}--{b!r}: no node {' or '.join(missing)}")
         key = (a, b) if a < b else (b, a)
         self.edge_weights[key] = self.edge_weights.get(key, 0.0) + weight
         self._adjacency = None
@@ -155,17 +160,11 @@ def build_value_graph(repo: Repository) -> ValueGraph:
     for c in repo.concerns.values():
         g.add_node(c.id, "concern")
         for ref in c.entity_refs:
-            g.add_node(ref, repo.entities[ref].kind if ref in repo.entities else "entity")
             g.add_edge(c.id, ref, 1.0)
         for gid in groups[c.cell.view]:
             g.add_node(gid, "stakeholder_group")
             g.add_edge(c.id, gid, 1.0)
     for l in repo.links.values():
-        g.add_node(l.source, repo.entities[l.source].kind if l.source in repo.entities else "entity")
-        target_kind = (
-            repo.entities[l.target].kind if l.target in repo.entities else "concern"
-        )
-        g.add_node(l.target, target_kind)
         g.add_edge(l.source, l.target, l.weight)
     return g
 
@@ -180,9 +179,12 @@ def _view_weights(weights: Optional[dict]) -> dict[View, float]:
             view = key if isinstance(key, View) else View(str(key))
         except ValueError:
             raise ValueError(f"unknown view {key!r} in weights map") from None
-        resolved[view] = float(value)
+        try:
+            resolved[view] = float(value)
+        except (TypeError, ValueError):
+            resolved[view] = math.nan
         if not 0 <= resolved[view] < math.inf:
-            raise ValueError(f"view weight for {view.value!r} must be >= 0")
+            raise ValueError(f"view weight for {view.value!r} must be a number >= 0, got {value!r}")
     return resolved
 
 
@@ -270,10 +272,8 @@ def cluster_graph(g: ValueGraph, seed: int = 0) -> list[set[str]]:
     A sweep re-tallies only the nodes whose neighborhood changed since their
     last visit.  This cannot change the result: a node's choice depends only
     on its neighbors' labels and its own, and its own label changes only
-    when it is visited.
+    when it is visited.  Sweeps stop once no node is stale, or after 100.
     """
-    if not g.node_kinds:
-        return []
     nodes, neighbors = g.adjacency()
     labels = list(range(len(nodes)))
     stale = [True] * len(nodes)
@@ -282,7 +282,6 @@ def cluster_graph(g: ValueGraph, seed: int = 0) -> list[set[str]]:
     for _ in range(100):
         order = list(range(len(nodes)))
         rng.shuffle(order)
-        changed = False
         for node in order:
             if not stale[node]:
                 continue
@@ -297,10 +296,9 @@ def cluster_graph(g: ValueGraph, seed: int = 0) -> list[set[str]]:
                     best, most = label, total
             if most > 0 and best != labels[node]:
                 labels[node] = best
-                changed = True
                 for other, _ in neighbors[node]:
                     stale[other] = True
-        if not changed:
+        if not any(stale):
             break
 
     clusters: dict[int, set[str]] = {}

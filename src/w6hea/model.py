@@ -312,13 +312,14 @@ class Concern:
 
 @dataclass
 class Repository:
-    """Id-indexed entity/link/concern collections with referential integrity."""
+    """Id-indexed entity/link/concern collections with referential integrity;
+    they start empty and change only through the adders."""
 
     name: str = "repository"
     version: str = "0"
-    entities: dict[str, Entity] = field(default_factory=dict)
-    links: dict[str, Link] = field(default_factory=dict)
-    concerns: dict[str, Concern] = field(default_factory=dict)
+    entities: dict[str, Entity] = field(default_factory=dict, init=False)
+    links: dict[str, Link] = field(default_factory=dict, init=False)
+    concerns: dict[str, Concern] = field(default_factory=dict, init=False)
 
     # -- lookups ---------------------------------------------------------
 

@@ -30,11 +30,13 @@ from w6hea.model import (
     View,
     ViewCell,
     cells,
+    group_id,
 )
 
 from conftest import load_fixture_repo
 from test_ingest_properties import PROPERTY_SETTINGS
 from test_ingest_properties import pytestmark as hypothesis_warning_filter
+from test_yaml_backends import repositories
 
 I = Interrogative
 FIXTURE_NAMES = ["compliant.ea.yaml", "violations.ea.yaml", "paper_api_table.ea.yaml"]
@@ -189,6 +191,17 @@ class TestElicitation:
         assert len(plan.prompts) == 1
         assert "SDK" in plan.prompts[0].question
 
+    @pytest.mark.parametrize("view", list(View))
+    def test_a_view_name_is_read_as_its_view(self, view):
+        repo = load_fixture_repo("compliant.ea.yaml")
+        plan = elicitation_plan(repo, view.value)
+        assert plan == elicitation_plan(repo, view)
+        assert len(plan.prompts) == (1 if view is View.CONSUMER else 7)
+
+    def test_an_unknown_view_name_is_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            elicitation_plan(Repository(), "bogus")
+
 
 class TestScores:
     def test_unreferenced_service_is_zero(self):
@@ -220,6 +233,11 @@ class TestScores:
     def test_unknown_view_in_weights(self):
         with pytest.raises(ValueError, match="unknown view"):
             value_scores(Repository(), {"sponsor": 1.0})
+
+    @pytest.mark.parametrize("weight", [None, [1], "heavy", {}])
+    def test_a_weight_that_is_not_a_number_is_rejected_naming_its_view(self, weight):
+        with pytest.raises(ValueError, match="view weight for 'owner'"):
+            value_scores(Repository(), {"owner": weight})
 
     def test_matches_brute_force_on_random_repositories(self):
         rng = random.Random(7)
@@ -523,6 +541,102 @@ def test_value_graph_adds_no_self_loop():
     g = ValueGraph()
     g.add_edge("a", "a")
     assert g.edge_weights == {}
+
+
+@pytest.mark.parametrize("field_name", ["node_kinds", "edge_weights"])
+def test_a_graph_starts_empty_and_fills_only_through_its_adders(field_name):
+    with pytest.raises(TypeError):
+        ValueGraph(**{field_name: {}})
+    assert getattr(ValueGraph(), field_name) == {}
+
+
+@pytest.mark.parametrize("ends", [("a", "b"), ("b", "a"), ("b", "c")])
+def test_an_edge_to_a_missing_node_is_refused_naming_it(ends):
+    g = ValueGraph()
+    g.add_node("a", "api")
+    with pytest.raises(ValueError) as raised:
+        g.add_edge(*ends)
+    for end in set(ends) - {"a"}:
+        assert repr(end) in str(raised.value)
+    assert g.edge_weights == {}
+    assert cluster_graph(g) == [{"a"}]
+    assert modularity(g, [{"a"}]) == 0.0
+
+
+def orders_and_cart():
+    repo = Repository()
+    repo.add_entity(Entity("api", "orders"))
+    repo.add_entity(Entity("microservice", "cart"))
+    return repo
+
+
+# Entries a hand edit can put past the adders, each with the end it leaves dangling.
+DANGLING_ENDS = {
+    "link-target": ("links", Link("exposes", "api.orders", "microservice.gone"), "microservice.gone"),
+    "link-source": ("links", Link("exposes", "api.gone", "microservice.cart"), "api.gone"),
+    "concern-ref": (
+        "concerns", Concern("c", ViewCell(View.OWNER, I.HOW), entity_refs=["microservice.gone"]),
+        "microservice.gone",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DANGLING_ENDS)
+def test_a_hand_edited_dangling_end_is_refused_naming_it(case):
+    collection, item, end = DANGLING_ENDS[case]
+    repo = orders_and_cart()
+    getattr(repo, collection)[item.id] = item
+    with pytest.raises(ValueError, match=repr(end)):
+        build_value_graph(repo)
+
+
+def reference_build_value_graph(repo):
+    """``build_value_graph`` as it was when it re-added every concern ref
+    and link end, guessing the kind of an end the repository does not hold."""
+    g = ValueGraph()
+    for eid, e in repo.entities.items():
+        g.add_node(eid, e.kind)
+    groups = {view: [group_id(group) for group in view.stakeholder_groups] for view in View}
+    for c in repo.concerns.values():
+        g.add_node(c.id, "concern")
+        for ref in c.entity_refs:
+            g.add_node(ref, repo.entities[ref].kind if ref in repo.entities else "entity")
+            g.add_edge(c.id, ref, 1.0)
+        for gid in groups[c.cell.view]:
+            g.add_node(gid, "stakeholder_group")
+            g.add_edge(c.id, gid, 1.0)
+    for l in repo.links.values():
+        g.add_node(l.source, repo.entities[l.source].kind if l.source in repo.entities else "entity")
+        target_kind = repo.entities[l.target].kind if l.target in repo.entities else "concern"
+        g.add_node(l.target, target_kind)
+        g.add_edge(l.source, l.target, l.weight)
+    return g
+
+
+def assert_same_graph(got, want):
+    """The same nodes and kinds, and the same edges and weights, each in the
+    same order: edge order fixes every neighbour list, and so the partitions."""
+    assert list(got.node_kinds.items()) == list(want.node_kinds.items())
+    assert list(got.edge_weights.items()) == list(want.edge_weights.items())
+
+
+class TestValueGraphMatchesTheReference:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_on_fixtures(self, name):
+        repo = load_fixture_repo(name)
+        assert_same_graph(build_value_graph(repo), reference_build_value_graph(repo))
+
+    def test_on_random_repositories(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            repo = random_repository(rng, link_weights=ORDER_SENSITIVE)
+            assert_same_graph(build_value_graph(repo), reference_build_value_graph(repo))
+
+    @hypothesis_warning_filter
+    @PROPERTY_SETTINGS
+    @given(repositories())
+    def test_on_repositories_with_every_link_kind(self, repo):
+        assert_same_graph(build_value_graph(repo), reference_build_value_graph(repo))
 
 
 def networkx_modularity(g, clusters):

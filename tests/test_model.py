@@ -110,6 +110,12 @@ class TestRepositoryMutation:
         with pytest.raises(ModelError, match="entity 'microservice.payments' already exists"):
             repo.add_entity(Entity("microservice", "payments"))
 
+    @pytest.mark.parametrize("collection", ["entities", "links", "concerns"])
+    def test_collections_start_empty_and_fill_only_through_the_adders(self, collection):
+        with pytest.raises(TypeError):
+            Repository(**{collection: {}})
+        assert getattr(Repository(name="r", version="1"), collection) == {}
+
     def test_empty_name(self):
         with pytest.raises(ModelError, match="entity of kind 'api' has an empty name"):
             Repository().add_entity(Entity("api", ""))
