@@ -5,8 +5,8 @@ stakeholder-value scoring, clustering, and retirement/reuse candidates.
 from __future__ import annotations
 
 import functools
-import math
 import random
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -120,7 +120,8 @@ class ValueGraph:
     _adjacency: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def add_node(self, node: str, kind: str) -> None:
-        self.node_kinds.setdefault(node, kind)
+        if (known := self.node_kinds.setdefault(node, kind)) != kind:
+            raise ValueError(f"node {node!r} has kind {known!r}, not {kind!r}")
         self._adjacency = None
 
     def add_edge(self, a: str, b: str, weight: float = 1.0) -> None:
@@ -179,12 +180,10 @@ def _view_weights(weights: Optional[dict]) -> dict[View, float]:
             view = key if isinstance(key, View) else View(str(key))
         except ValueError:
             raise ValueError(f"unknown view {key!r} in weights map") from None
-        try:
-            resolved[view] = float(value)
-        except (TypeError, ValueError):
-            resolved[view] = math.nan
-        if not 0 <= resolved[view] < math.inf:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 <= value <= sys.float_info.max):  # NaN, infinity, or an int past any float
             raise ValueError(f"view weight for {view.value!r} must be a number >= 0, got {value!r}")
+        resolved[view] = float(value)
     return resolved
 
 

@@ -135,14 +135,15 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
         methods[title] = []
 
     proposal.entities = [Entity("api", n, {"methods": methods[n]}) for n in sorted(methods)]
-    records = [{"api": api.id, **r} for api in proposal.entities for r in api.attributes["methods"]]
+    refs = [api.id for api in proposal.entities]
+    records = [{"api": ref, **r} for ref, n in zip(refs, sorted(methods)) for r in methods[n]]
     concern_id = f"designer.how.openapi-{slugify(title)}"
     proposal.concerns.append(
         Concern(
             id=concern_id,
             cell=ViewCell(View.DESIGNER, Interrogative.HOW),
             statement=f"API design details extracted from {doc.path}",
-            entity_refs=[a.id for a in proposal.entities],
+            entity_refs=refs,
             records=records,
         )
     )
@@ -265,33 +266,33 @@ def merge_proposal(
 
     overwrite = strategy == "overwrite_attributes"
 
-    def merge(adder, items: dict, item) -> bool:
-        """Add ``item`` through ``adder``, in place of the item its id names
-        on an overwrite; one the adder refuses leaves the old item in place."""
-        old = items.get(item.id)
+    def merge(adder, items: dict, item, key: str) -> bool:
+        """Add ``item`` through ``adder``, in place of the item ``key`` (its id)
+        names on an overwrite; one the adder refuses leaves the old item in place."""
+        old = items.get(key)
         if old is not None and not overwrite:
             noun = type(item).__name__.lower()  # entity or concern
-            report("warning", f"{noun} {item.id!r} already present; kept as-is")
+            report("warning", f"{noun} {key!r} already present; kept as-is")
             return False
-        items.pop(item.id, None)
+        items.pop(key, None)
         try:
             adder(item)
             return True
         except ModelError as exc:
             if old is not None:
-                items[item.id] = old
+                items[key] = old
             report("error", str(exc))
             return False
 
     for entity in map(copy.deepcopy, proposal.entities):
-        if entity.id in out.entities:  # an overwrite keeps the existing name
-            entity.name = out.entities[entity.id].name
-        if merge(out.add_entity, out.entities, entity):
+        if (eid := entity.id) in out.entities:  # an overwrite keeps the existing name
+            entity.name = out.entities[eid].name
+        if merge(out.add_entity, out.entities, entity, eid):
             for message in unknown_attributes(entity):
                 report("warning", message)
 
     for concern in map(copy.deepcopy, proposal.concerns):
-        merge(out.add_concern, out.concerns, concern)
+        merge(out.add_concern, out.concerns, concern, concern.id)
 
     for link in proposal.links:
         if link.id in out.links:

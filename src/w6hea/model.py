@@ -136,7 +136,7 @@ _VIEW_STAKEHOLDERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewCell:
     """One cell of the grid; the consumer view is a single merged cell."""
 
@@ -275,7 +275,19 @@ def link_id(kind: str, source: str, target: str) -> str:
     return f"{kind}--{source}--{target}"
 
 
-@dataclass
+_TYPE_NAMES = {str: "text", dict: "a mapping", list: "a list"}
+
+
+def _type_fault(record, **types: type) -> Optional[str]:
+    """The message for the first field of ``record`` that is not of its type, if any."""
+    for name, kind in types.items():
+        value = getattr(record, name)
+        if not isinstance(value, kind):
+            return f"{type(record).__name__.lower()} {name} must be {_TYPE_NAMES[kind]}, got {value!r}"
+    return None
+
+
+@dataclass(slots=True)
 class Entity:
     kind: str
     name: str
@@ -283,13 +295,12 @@ class Entity:
 
     @property
     def id(self) -> str:
-        """Derived from kind and name on every access, which runs ``slugify``;
-        ``Repository.entities`` keys each entity by this id, so a loop over
-        a repository's entities can read it from the key instead."""
+        """``kind.slug``, derived from kind and name with ``slugify`` on each
+        access; ``Repository.entities`` keys each entity by it."""
         return entity_id(self.kind, self.name)
 
 
-@dataclass
+@dataclass(slots=True)
 class Link:
     kind: str
     source: str
@@ -301,7 +312,7 @@ class Link:
         return link_id(self.kind, self.source, self.target)
 
 
-@dataclass
+@dataclass(slots=True)
 class Concern:
     id: str
     cell: ViewCell
@@ -335,6 +346,8 @@ class Repository:
     # -- mutation --------------------------------------------------------
 
     def add_entity(self, e: Entity) -> str:
+        if fault := _type_fault(e, kind=str, name=str, attributes=dict):
+            raise ModelError(fault)
         eid = e.id
         if eid in self.entities:
             raise ModelError(f"entity {eid!r} already exists")
@@ -342,7 +355,7 @@ class Repository:
             raise ModelError(f"entity {eid!r}: a concern already has this id")
         if e.kind not in ENTITY_KINDS:
             raise ModelError(f"unknown entity kind {e.kind!r}")
-        if not slugify(e.name):  # no letter or digit folds to ASCII: an empty id
+        if eid.endswith("."):  # no letter or digit of the name folds to ASCII: an empty slug
             raise ModelError(f"entity of kind {e.kind!r} has an empty name")
         if nesting(e.attributes) > FIELD_NESTING_LIMIT:
             raise ModelError(
@@ -368,6 +381,9 @@ class Repository:
 
     def _link_faults(self, l: Link):
         """Yield the message of each fault of one link."""
+        if fault := _type_fault(l, kind=str, source=str, target=str):
+            yield fault
+            return
         if l.kind not in LINK_SIGNATURES:
             yield f"unknown link kind {l.kind!r}"
             return
@@ -398,6 +414,10 @@ class Repository:
             )
 
     def add_concern(self, c: Concern) -> str:
+        if fault := _type_fault(c, id=str, statement=str, records=list):
+            raise ModelError(fault)
+        if not (isinstance(c.entity_refs, list) and all(isinstance(r, str) for r in c.entity_refs)):
+            raise ModelError(f"concern entity_refs must be a list of text, got {c.entity_refs!r}")
         if c.id in self.concerns:
             raise ModelError(f"concern {c.id!r} already exists")
         if c.id in self.entities:

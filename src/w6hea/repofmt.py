@@ -32,7 +32,7 @@ from .model import (
 from .yamlload import JSON_FLOAT, Reader
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     file: str
     line: int
@@ -42,7 +42,7 @@ class Location:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Diagnostic:
     severity: str  # "error" | "warning"
     message: str

@@ -28,9 +28,9 @@ class Finding:
 
 
 def _services_and_apis(repo: Repository):
-    for e in repo.entities.values():
+    for eid, e in repo.entities.items():
         if e.kind in SERVICE_KINDS:
-            yield e
+            yield eid, e
 
 
 def _motivation_missing(repo: Repository):
@@ -40,9 +40,9 @@ def _motivation_missing(repo: Repository):
         concern = repo.concerns.get(link.target)
         if concern and concern.cell.interrogative is Interrogative.WHY:
             motivated.add(link.source)
-    for e in _services_and_apis(repo):
-        if e.id not in motivated:
-            yield e.id, (
+    for eid, e in _services_and_apis(repo):
+        if eid not in motivated:
+            yield eid, (
                 f"{e.kind} {e.name!r} is not motivated by any "
                 "why-cell concern (motivated_by)"
             )
@@ -50,9 +50,9 @@ def _motivation_missing(repo: Repository):
 
 def _function_unlinked(repo: Repository):
     automating = {l.source for l in repo.links_of_kind("automates")}
-    for e in repo.entities_of_kind("microservice"):
-        if e.id not in automating:
-            yield e.id, f"microservice {e.name!r} automates no business function"
+    for eid, e in repo.entities.items():
+        if e.kind == "microservice" and eid not in automating:
+            yield eid, f"microservice {e.name!r} automates no business function"
 
 
 def _data_ownership(repo: Repository):
@@ -90,9 +90,9 @@ def _category_exposure(repo: Repository):
 
 def _lifecycle_missing(repo: Repository):
     scheduled = {l.source for l in repo.links_of_kind("scheduled_on")}
-    for e in _services_and_apis(repo):
-        if e.id not in scheduled:
-            yield e.id, (
+    for eid, e in _services_and_apis(repo):
+        if eid not in scheduled:
+            yield eid, (
                 f"{e.kind} {e.name!r} has no business-cycle link "
                 "(renewal/retirement schedule)"
             )

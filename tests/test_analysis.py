@@ -239,6 +239,20 @@ class TestScores:
         with pytest.raises(ValueError, match="view weight for 'owner'"):
             value_scores(Repository(), {"owner": weight})
 
+    @pytest.mark.parametrize(
+        "weight", [True, False, "2", " 3 ", b"1", pytest.param(10**400, id="10**400"), -1]
+    )
+    def test_only_an_int_or_float_within_range_is_a_weight(self, weight):
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "cart"))
+        with pytest.raises(ValueError) as raised:
+            value_scores(repo, {"owner": weight})
+        assert str(raised.value) == f"view weight for 'owner' must be a number >= 0, got {weight!r}"
+
+    @pytest.mark.parametrize("weight", [0, 2, 0.5, sys.float_info.max])
+    def test_an_int_or_float_weight_is_taken(self, weight):
+        assert _view_weights({"owner": weight})[View.OWNER] == float(weight)
+
     def test_matches_brute_force_on_random_repositories(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -535,6 +549,16 @@ def test_non_finite_view_weight_is_rejected(weight):
     repo.add_entity(Entity("microservice", "cart"))
     with pytest.raises(ValueError):
         value_scores(repo, {"owner": weight})
+
+
+def test_a_node_added_again_keeps_its_kind_or_is_refused():
+    g = ValueGraph()
+    g.add_node("a", "api")
+    g.add_node("a", "api")
+    with pytest.raises(ValueError) as raised:
+        g.add_node("a", "concern")
+    assert str(raised.value) == "node 'a' has kind 'api', not 'concern'"
+    assert g.node_kinds == {"a": "api"}
 
 
 def test_value_graph_adds_no_self_loop():

@@ -5,18 +5,22 @@ on a shared machine spread widely, so a regression in memory shows here
 without a benchmark run.  Each budget is the peak measured on the generated
 repository below plus a margin for other Python versions and for allocator
 free lists, which earlier tests leave in different states.  Measured after a
-warm-up call, on a 76 kB text: ``parse_repository`` 6.7 times its input with
-libyaml on Python 3.11 and 8.3 times with PyYAML's pure-Python parser on 3.10
-(it was 40.5 times while PyYAML's composer built a node tree);
+warm-up call, on a 76 kB text: ``parse_repository`` 5.8 times its input with
+libyaml on Python 3.11 and 5.9 times with PyYAML's pure-Python parser there
+(6.7 times with either before the model's records were slotted; it was 40.5
+times while PyYAML's composer built a node tree).  On 3.10 the pure-Python
+parser measured 8.3 times before the slots, which cut 12% on 3.11;
 ``serialize_repository`` 10.4 times its output on 3.11 and 11.4 times on 3.10.
 """
 
 import tracemalloc
 
+from w6hea import model
 from w6hea.model import Concern, Entity, Link, Repository, cells
 from w6hea.repofmt import SourceDocument, parse_repository, serialize_repository
+from w6hea.validation import validate
 
-PARSE_BUDGET = 10  # peak bytes per input byte
+PARSE_BUDGET = 9  # peak bytes per input byte
 SERIALIZE_BUDGET = 12  # peak bytes per output byte
 
 
@@ -63,3 +67,14 @@ def test_serialize_peak_is_within_its_budget():
     used, text = peak(lambda: serialize_repository(REPO))
     assert text == TEXT
     assert used <= SERIALIZE_BUDGET * len(TEXT.encode())
+
+
+def test_ids_are_derived_once_in_a_parse_and_never_in_validate(monkeypatch):
+    slugged = []
+    slugify = model.slugify
+    monkeypatch.setattr(model, "slugify", lambda text: slugged.append(text) or slugify(text))
+    repo, _ = parse_repository([SourceDocument("repo.ea.yaml", TEXT)])
+    assert 0 < len(slugged) <= 2 * len(repo.entities)  # sorting the declarations, then the adder
+    slugged.clear()
+    assert validate(repo)
+    assert slugged == []

@@ -21,6 +21,7 @@ from w6hea.model import (
     slugify,
     unknown_attributes,
 )
+from w6hea.repofmt import Diagnostic, Location
 
 from test_ingest_properties import PROPERTY_SETTINGS
 from test_ingest_properties import pytestmark as hypothesis_warning_filter
@@ -358,3 +359,124 @@ def test_slugify_folds_accents(name, slug):
 @given(st.text(st.characters(max_codepoint=127)))
 def test_slugify_is_unchanged_on_ascii(text):
     assert slugify(text) == re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
+
+
+class TestFieldTypes:
+    """Each adder refuses a field of the wrong type with a ``ModelError``
+    naming the field, before reading anything from it."""
+
+    CELL = ViewCell(View.DESIGNER, I.HOW)
+
+    @pytest.mark.parametrize(
+        "entity, field_name",
+        [
+            (Entity("api", 5), "name"),
+            (Entity(["api"], "x"), "kind"),
+            (Entity("api", "x", ["a"]), "attributes"),
+            (Entity("api", "x", None), "attributes"),
+        ],
+    )
+    def test_entity_field_of_the_wrong_type(self, entity, field_name):
+        repo = Repository()
+        with pytest.raises(ModelError, match=f"^entity {field_name} must be "):
+            repo.add_entity(entity)
+        assert repo.entities == {}
+
+    @pytest.mark.parametrize(
+        "link, field_name",
+        [
+            (Link(["exposes"], "api.x", "microservice.y"), "kind"),
+            (Link("exposes", ["api.x"], "microservice.y"), "source"),
+            (Link("exposes", "api.x", {"microservice.y": 1}), "target"),
+            (Link("exposes", "api.x", None), "target"),
+        ],
+    )
+    def test_link_field_of_the_wrong_type(self, link, field_name):
+        repo = Repository()
+        repo.add_entity(Entity("api", "x"))
+        repo.add_entity(Entity("microservice", "y"))
+        with pytest.raises(ModelError, match=f"^link {field_name} must be "):
+            repo.add_link(link)
+        assert repo.links == {}
+        repo.links["hand-edited"] = link  # the full scan names the field too
+        assert [m for _, m in repo.integrity_violations()] == [
+            f"link {link.id}: link {field_name} must be text, got {getattr(link, field_name)!r}"
+        ]
+
+    @pytest.mark.parametrize(
+        "concern, field_name",
+        [
+            (Concern(5, CELL), "id"),
+            (Concern(["c1"], CELL), "id"),
+            (Concern("c1", CELL, statement=3), "statement"),
+            (Concern("c1", CELL, entity_refs="api.x"), "entity_refs"),
+            (Concern("c1", CELL, entity_refs=("api.x",)), "entity_refs"),
+            (Concern("c1", CELL, entity_refs=[["api.x"]]), "entity_refs"),
+            (Concern("c1", CELL, records={"a": 1}), "records"),
+        ],
+    )
+    def test_concern_field_of_the_wrong_type(self, concern, field_name):
+        repo = Repository()
+        repo.add_entity(Entity("api", "x"))
+        with pytest.raises(ModelError, match=f"^concern {field_name} must be ") as raised:
+            repo.add_concern(concern)  # a string of refs is not read one character at a time
+        assert str(raised.value).endswith(f", got {getattr(concern, field_name)!r}")
+        assert repo.concerns == {}
+
+
+SMALL = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | st.binary(max_size=2),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+IDS = ["api.x", "microservice.y", "c1", "business_function.z"]
+
+
+@hypothesis_warning_filter
+@PROPERTY_SETTINGS
+@given(
+    entity=st.builds(
+        Entity,
+        st.sampled_from(["api", "microservice", "business_function"]) | SMALL,
+        st.sampled_from(["x", "y", "Zürich", "--"]) | SMALL,
+        st.dictionaries(st.sampled_from(["category", "exposure", "colour"]), SMALL, max_size=2) | SMALL,
+    ),
+    concern=st.builds(
+        Concern,
+        st.sampled_from(["c1", "api.x", "group.a", " "]) | SMALL,
+        st.sampled_from(cells()) | SMALL,
+        st.text(max_size=3) | SMALL,
+        st.lists(st.sampled_from(IDS) | SMALL, max_size=2) | SMALL,
+        st.lists(SMALL, max_size=2) | SMALL,
+    ),
+    link=st.builds(
+        Link,
+        st.sampled_from(["exposes", "automates", "motivated_by"]) | SMALL,
+        st.sampled_from(IDS) | SMALL,
+        st.sampled_from(IDS) | SMALL,
+        SMALL,
+    ),
+)
+def test_an_adder_returns_an_id_or_raises_model_error(entity, concern, link):
+    repo = Repository()
+    repo.add_entity(Entity("api", "x"))
+    repo.add_entity(Entity("microservice", "y"))
+    for adder, record in ((repo.add_entity, entity), (repo.add_concern, concern), (repo.add_link, link)):
+        try:
+            assert isinstance(adder(record), str)
+        except ModelError:
+            pass
+
+
+def test_records_are_slotted():
+    for record in (
+        Entity("api", "x"),
+        Link("exposes", "api.x", "microservice.y"),
+        Concern("c1", ViewCell(View.CONSUMER)),
+        ViewCell(View.CONSUMER),
+        Location("a.ea.yaml", 1, 1),
+        Diagnostic("error", "m", Location("a.ea.yaml", 1, 1)),
+    ):
+        assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        Entity("api", "x").extra = 1
