@@ -160,9 +160,7 @@ def elicit(args) -> None:
     """Print the ordered elicitation prompts, marking answered cells."""
     from . import analysis
 
-    repo = _load_repo(args.paths)
-    view = View(args.view) if args.view else None
-    for prompt in analysis.elicitation_plan(repo, view).prompts:
+    for prompt in analysis.elicitation_plan(_load_repo(args.paths), args.view).prompts:
         marker = "x" if prompt.status == "answered" else " "
         print(f"[{marker}] {ViewCell(prompt.view, prompt.interrogative).key()}: {prompt.question}")
 

@@ -16,15 +16,13 @@ from .model import (
     Entity,
     Interrogative,
     Link,
-    ModelError,
     Repository,
     View,
     ViewCell,
     entity_id,
     slugify,
-    unknown_attributes,
 )
-from .repofmt import Diagnostic, Location, SourceDocument, yaml_error
+from .repofmt import SECTIONS, Diagnostic, Location, SourceDocument, add_reported, yaml_error
 from .yamlload import load, load_all
 
 HTTP_VERBS = ("get", "put", "post", "delete", "options", "head", "patch", "trace")
@@ -51,7 +49,7 @@ class IngestProposal:
 
 
 def _warn(diags, path, message):
-    diags.append(Diagnostic("warning", message, Location(path, 1, 1)))
+    diags.append(Diagnostic("warning", message, Location(path)))
 
 
 def _at(value, *keys, kind=dict):
@@ -88,7 +86,7 @@ def ingest_openapi(doc: SourceDocument) -> tuple[IngestProposal, list[Diagnostic
         diags.append(yaml_error(doc.path, exc))
         return proposal, diags
     if not isinstance(data, dict):
-        diags.append(Diagnostic("error", "not an OpenAPI document", Location(doc.path, 1, 1)))
+        diags.append(Diagnostic("error", "not an OpenAPI document", Location(doc.path)))
         return proposal, diags
 
     version = str(data.get("openapi", data.get("swagger", "")))
@@ -259,47 +257,32 @@ def merge_proposal(
         raise ValueError(f"unknown merge strategy {strategy!r}")
     out = copy.deepcopy(repo)
     diags: list[Diagnostic] = []
-    origin = Location(proposal.source or "<proposal>", 1, 1)
-
-    def report(severity: str, message: str) -> None:
-        diags.append(Diagnostic(severity, message, origin))
-
-    overwrite = strategy == "overwrite_attributes"
-
-    def merge(adder, items: dict, item, key: str) -> bool:
-        """Add ``item`` through ``adder``, in place of the item ``key`` (its id)
-        names on an overwrite; one the adder refuses leaves the old item in place."""
-        old = items.get(key)
-        if old is not None and not overwrite:
-            noun = type(item).__name__.lower()  # entity or concern
-            report("warning", f"{noun} {key!r} already present; kept as-is")
-            return False
-        items.pop(key, None)
-        try:
-            adder(item)
-            return True
-        except ModelError as exc:
+    origin = Location(proposal.source or "<proposal>")
+    for section in SECTIONS:
+        items = getattr(out, section)
+        for item in map(copy.deepcopy, getattr(proposal, section)):
+            key = _key(item)
+            old = items.get(key)
             if old is not None:
+                if section == "links":
+                    continue  # merging twice must equal merging once
+                if strategy == "add_only":
+                    noun = type(item).__name__.lower()  # entity or concern
+                    message = f"{noun} {key!r} already present; kept as-is"
+                    diags.append(Diagnostic("warning", message, origin))
+                    continue
+                if section == "entities":  # an overwrite keeps the existing name
+                    item.name = old.name
+                del items[key]  # the replacement takes its place
+            if not add_reported(out, section, item, origin, diags) and old is not None:
                 items[key] = old
-            report("error", str(exc))
-            return False
-
-    for entity in map(copy.deepcopy, proposal.entities):
-        if (eid := entity.id) in out.entities:  # an overwrite keeps the existing name
-            entity.name = out.entities[eid].name
-        if merge(out.add_entity, out.entities, entity, eid):
-            for message in unknown_attributes(entity):
-                report("warning", message)
-
-    for concern in map(copy.deepcopy, proposal.concerns):
-        merge(out.add_concern, out.concerns, concern, concern.id)
-
-    for link in proposal.links:
-        if link.id in out.links:
-            continue  # merging twice must equal merging once
-        try:
-            out.add_link(copy.deepcopy(link))
-        except ModelError as exc:
-            report("error", str(exc))
-
     return out, diags
+
+
+def _key(item) -> Optional[str]:
+    """The id ``item`` is kept under, or None when a field it derives from is
+    not text, which the item's adder reports."""
+    if isinstance(item, Entity) and not (isinstance(item.kind, str) and isinstance(item.name, str)):
+        return None
+    key = item.id
+    return key if isinstance(key, str) else None

@@ -144,6 +144,12 @@ class ViewCell:
     interrogative: Optional[Interrogative] = None
 
     def __post_init__(self):
+        if not isinstance(self.view, View):
+            raise ModelError(f"cell view must be a View, got {self.view!r}")
+        if not isinstance(self.interrogative, (Interrogative, type(None))):
+            raise ModelError(
+                f"cell interrogative must be an Interrogative, got {self.interrogative!r}"
+            )
         if self.view is View.CONSUMER:
             if self.interrogative is not None:
                 raise ModelError("consumer view is a single merged cell")
@@ -465,8 +471,10 @@ def unknown_attributes(e: Entity) -> list[str]:
     """One message per attribute key outside the kind's vocabulary; such
     keys are accepted, and callers report the messages as warnings."""
     vocab = ATTRIBUTE_VOCABULARY.get(e.kind, ())
+    unknown = [key for key in e.attributes if key not in vocab]
+    if not unknown:
+        return []
+    eid = e.id  # derived once, not once per key
     return [
-        f"entity {e.id!r}: attribute {key!r} is not in the {e.kind!r} vocabulary"
-        for key in e.attributes
-        if key not in vocab
+        f"entity {eid!r}: attribute {key!r} is not in the {e.kind!r} vocabulary" for key in unknown
     ]

@@ -34,9 +34,11 @@ from .yamlload import JSON_FLOAT, Reader
 
 @dataclass(frozen=True, slots=True)
 class Location:
+    """A 1-based position in a file; a problem with no position is at 1:1."""
+
     file: str
-    line: int
-    column: int
+    line: int = 1
+    column: int = 1
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -73,7 +75,7 @@ def undecodable(path, exc: UnicodeDecodeError) -> Diagnostic:
 
 
 def _loc(path: str, mark) -> Location:
-    return Location(path, mark.line + 1, mark.column + 1) if mark else Location(path, 1, 1)
+    return Location(path, mark.line + 1, mark.column + 1) if mark else Location(path)
 
 
 def yaml_error(path: str, exc: yaml.YAMLError) -> Diagnostic:
@@ -159,7 +161,30 @@ def _concern(fields: dict) -> Concern:
     )
 
 
-_SECTIONS = {"entities": _entity, "concerns": _concern, "links": _link}
+# Each section of a file: the builder of its declarations and the name of the
+# repository's adder, in the order sections are added (links may point at concerns).
+SECTIONS = {
+    "entities": (_entity, "add_entity"),
+    "concerns": (_concern, "add_concern"),
+    "links": (_link, "add_link"),
+}
+
+
+def add_reported(
+    repo: Repository, section: str, item, location: Location, diagnostics: list[Diagnostic]
+) -> bool:
+    """Add ``item`` through the adder of its ``section``, looked up on ``repo``
+    at each call.  What the adder refuses is an error at ``location``, and an
+    added entity's unknown attributes are warnings there.  Returns whether
+    ``item`` went in."""
+    try:
+        getattr(repo, SECTIONS[section][1])(item)
+    except ModelError as exc:
+        diagnostics.append(Diagnostic("error", str(exc), location))
+        return False
+    if section == "entities":
+        diagnostics += [Diagnostic("warning", m, location) for m in unknown_attributes(item)]
+    return True
 
 
 class _RepositoryReader(Reader):
@@ -169,7 +194,7 @@ class _RepositoryReader(Reader):
     def __init__(self, doc: SourceDocument):
         super().__init__(doc.text, doc.path)
         self.path, self.diagnostics, self.meta = doc.path, [], {}
-        self.decls: dict[str, list] = {section: [] for section in _SECTIONS}  # [(item, location)]
+        self.decls: dict[str, list] = {section: [] for section in SECTIONS}  # [(item, location)]
 
     def read(self) -> None:
         for root in self.documents():
@@ -182,7 +207,7 @@ class _RepositoryReader(Reader):
     def role(self, parent, mapping):
         if parent is None:
             return "root" if mapping else None
-        if parent.role == "root" and not mapping and parent.key and parent.key.text in _SECTIONS:
+        if parent.role == "root" and not mapping and parent.key and parent.key.text in SECTIONS:
             return parent.key.text  # a section's sequence: its items are declarations
         return None
 
@@ -193,8 +218,8 @@ class _RepositoryReader(Reader):
         name = key.text if key.text is not None else f"<{key.node.kind}>"  # a key that is not a scalar
         if name == "meta":
             for mk, mv in (self.build(_meta, value, error, mark, node) or {}).items():
-                self.meta.setdefault(mk, mv)  # the first file's value wins
-        elif name not in _SECTIONS:
+                self.meta.setdefault(mk, mv)  # the first document's value wins
+        elif name not in SECTIONS:
             self.report("warning", key.mark, f"unknown top-level key {name!r} ignored")
         elif node is None or node.kind != "sequence":
             self.report("error", mark, "expected a sequence")
@@ -204,7 +229,7 @@ class _RepositoryReader(Reader):
         return True
 
     def declaration(self, section: str, value, error, mark, node) -> None:
-        item = self.build(_SECTIONS[section], value, error, mark, node)
+        item = self.build(SECTIONS[section][0], value, error, mark, node)
         if item is not None:
             self.decls[section].append((item, _loc(self.path, mark)))
 
@@ -236,7 +261,7 @@ def parse_repository(
     """
     diagnostics: list[Diagnostic] = []
     meta: dict = {}
-    decls: dict[str, list] = {section: [] for section in _SECTIONS}  # [(item, location)]
+    decls: dict[str, list] = {section: [] for section in SECTIONS}  # [(item, location)]
     for doc in docs:
         try:
             reader = _RepositoryReader(doc)
@@ -248,28 +273,12 @@ def parse_repository(
         for section, found in reader.decls.items():
             decls[section] += found
         for key, value in reader.meta.items():
-            meta.setdefault(key, value)
+            meta.setdefault(key, value)  # the first file's value wins
 
     repo = Repository(**meta)  # a name or version no file gives keeps its default
-
-    def add(adder, item, location) -> bool:
-        try:
-            adder(item)
-            return True
-        except ModelError as exc:
-            diagnostics.append(Diagnostic("error", str(exc), location))
-            return False
-
-    # Entities, then concerns, then links, since links may point at concerns.
-    by_id = lambda decl: decl[0].id
-    for entity, location in sorted(decls["entities"], key=by_id):
-        if add(repo.add_entity, entity, location):
-            for message in unknown_attributes(entity):
-                diagnostics.append(Diagnostic("warning", message, location))
-    for concern, location in sorted(decls["concerns"], key=by_id):
-        add(repo.add_concern, concern, location)
-    for link, location in sorted(decls["links"], key=by_id):
-        add(repo.add_link, link, location)
+    for section in SECTIONS:
+        for item, location in sorted(decls[section], key=lambda decl: decl[0].id):
+            add_reported(repo, section, item, location, diagnostics)
 
     if any(d.severity == "error" for d in diagnostics):
         return None, diagnostics

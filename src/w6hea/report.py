@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from .model import Interrogative
@@ -45,21 +46,16 @@ def render_matrix(matrix: CoverageMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def export_findings_json(findings: list[Finding]) -> str:
-    data = [
-        {
-            "rule_id": f.rule_id,
-            "severity": f.severity,
-            "subject": f.subject,
-            "message": f.message,
-        }
-        for f in sorted(findings, key=lambda f: (f.rule_id, f.subject))
-    ]
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return _json([asdict(f) for f in sorted(findings, key=lambda f: (f.rule_id, f.subject))])
 
 
 def export_scores_json(scores: dict[str, float]) -> str:
-    return json.dumps({k: scores[k] for k in sorted(scores)}, indent=2) + "\n"
+    return _json(scores)
 
 
 def _dot_quote(name: str) -> str:

@@ -18,6 +18,7 @@ from w6hea.analysis import (
     prompt_catalog,
     retirement_candidates,
     reuse_candidates,
+    reuse_counts,
     value_scores,
 )
 from w6hea.model import (
@@ -357,6 +358,17 @@ class TestReuse:
                 )
         assert reuse_candidates(repo) == ["microservice.alpha", "microservice.beta"]
 
+
+    def test_api_inherits_the_functions_of_the_service_it_exposes(self):
+        repo = Repository()
+        repo.add_entity(Entity("api", "orders"))
+        repo.add_entity(Entity("microservice", "cart"))
+        for fn in ("f1", "f2"):
+            repo.add_entity(Entity("business_function", fn))
+            repo.add_link(Link("automates", "microservice.cart", f"business_function.{fn}"))
+        repo.add_link(Link("exposes", "api.orders", "microservice.cart"))
+        assert reuse_counts(repo) == {"api.orders": 2, "microservice.cart": 2}
+        assert reuse_candidates(repo) == ["api.orders", "microservice.cart"]
 
 def clique(g, names, weight=1.0):
     for name in names:

@@ -464,6 +464,27 @@ def test_merge_reports_a_concern_that_takes_a_stakeholder_group_id(compliant_rep
     assert "group.cios" not in merged.concerns
 
 
+@pytest.mark.parametrize("strategy", ["add_only", "overwrite_attributes"])
+@pytest.mark.parametrize(
+    "section, item, message",
+    [
+        ("entities", ("api", 5), "entity name must be text, got 5"),
+        ("entities", (["api"], "x"), "entity kind must be text, got ['api']"),
+        ("concerns", (["c1"],), "concern id must be text, got ['c1']"),
+    ],
+)
+def test_merge_reports_an_id_field_that_is_not_text(section, item, message, strategy):
+    from w6hea.ingest import IngestProposal
+    from w6hea.model import Concern, Entity
+
+    record = Entity(*item) if section == "entities" else Concern(*item, ViewCell(View.CONSUMER))
+    merged, diagnostics = merge_proposal(Repository(), IngestProposal(**{section: [record]}), strategy)
+    assert [(d.severity, d.message, str(d.location)) for d in diagnostics] == [
+        ("error", message, "<proposal>:1:1"),
+    ]
+    assert merged.entities == {} and merged.concerns == {}
+
+
 def test_unknown_merge_strategy_is_rejected():
     from w6hea.ingest import IngestProposal
 

@@ -92,6 +92,21 @@ class TestCells:
         with pytest.raises(ModelError, match="view 'scope' requires an interrogative"):
             ViewCell(View.SCOPE)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5,), "cell view must be a View, got 5"),
+            (("scope",), "cell view must be a View, got 'scope'"),
+            (("consumer",), "cell view must be a View, got 'consumer'"),
+            (("scope", I.WHO), "cell view must be a View, got 'scope'"),
+            ((View.SCOPE, 5), "cell interrogative must be an Interrogative, got 5"),
+            ((View.SCOPE, "who"), "cell interrogative must be an Interrogative, got 'who'"),
+        ],
+    )
+    def test_cell_of_the_wrong_type_names_the_value(self, args, message):
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            ViewCell(*args)
+
     def test_view_ranks(self):
         assert list(View) == [View.SCOPE, View.OWNER, View.DESIGNER, View.BUILDER, View.CONSUMER]
         assert View.SCOPE.label == "Scope (Ballpark View)"

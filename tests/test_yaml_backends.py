@@ -150,6 +150,7 @@ EDGE_TEXTS = [
     "entities:\n  - {kind: api, name: a, attributes: {o: !!omap [{<<: 1}], s: !!set {a, b}}}\n",
     "entities:\n  - {kind: api, name: a, attributes: {o: !!omap {a: 1}, q: !!seq {a: 1}, r: !!str [1]}}\n",
     "entities:\n  - {kind: api, name: a, attributes: {=: 1, !!value v: 2, w: =}}\n",
+    "entities:\n  - {kind: api, name: a, attributes: {s: !!str {=: [1]}}}\n",
     "entities:\n  - {kind: api, name: a, attributes: {1: a, 1.0: b, '1': c, !!str 1: d}}\n",
     "&r {meta: {name: x}, *r : 1}\n",
     "m: &m meta\n*m : {name: shop}\nentities: &s [&d {kind: api, name: a}, *d]\n",

@@ -21,7 +21,7 @@ from yaml.scanner import Scanner
 from w6hea.model import ModelError, Repository, unknown_attributes
 from w6hea.yamlload import _ALIAS_LIMIT, _NESTING_LIMIT
 from w6hea.repofmt import (
-    _SECTIONS,
+    SECTIONS,
     Diagnostic,
     SourceDocument,
     _Invalid,
@@ -160,7 +160,7 @@ def parse_repository(
     """
     diagnostics: list[Diagnostic] = []
     meta: dict = {}
-    decls: dict[str, list] = {section: [] for section in _SECTIONS}  # [(item, location)]
+    decls: dict[str, list] = {section: [] for section in SECTIONS}  # [(item, location)]
     constructor = YamlLoader("")  # builds each declaration, keeping nothing between them
 
     def report(severity: str, path: str, node, message: str) -> None:
@@ -201,11 +201,11 @@ def parse_repository(
                 if key == "meta":
                     for mk, mv in (build(doc.path, value_node, _meta) or {}).items():
                         meta.setdefault(mk, mv)  # the first file's value wins
-                elif key not in _SECTIONS:
+                elif key not in SECTIONS:
                     report("warning", doc.path, key_node, f"unknown top-level key {key!r} ignored")
                 elif isinstance(value_node, yaml.SequenceNode):
                     for node in value_node.value:
-                        item = build(doc.path, node, _SECTIONS[key])
+                        item = build(doc.path, node, SECTIONS[key][0])
                         if item is not None:
                             decls[key].append((item, _loc(doc.path, node.start_mark)))
                 else:
