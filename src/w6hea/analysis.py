@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -19,6 +19,7 @@ from .model import (
     ViewCell,
     cells,
     group_id,
+    weight_fault,
 )
 from .yamlload import load
 
@@ -173,21 +174,22 @@ def build_value_graph(repo: Repository) -> ValueGraph:
 # -- scoring -------------------------------------------------------------
 
 
-def _view_weights(weights: Optional[dict]) -> dict[View, float]:
+def _view_weights(weights: Optional[Mapping]) -> dict[View, float]:
+    if not (weights is None or isinstance(weights, Mapping)):
+        raise ValueError(f"weights must be a mapping of view to weight, got {weights!r}")
     resolved = {v: 1.0 for v in View}
     for key, value in (weights or {}).items():
         try:
             view = key if isinstance(key, View) else View(str(key))
         except ValueError:
             raise ValueError(f"unknown view {key!r} in weights map") from None
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 <= value <= sys.float_info.max):  # NaN, infinity, or an int past any float
+        if weight_fault(value) is not None:
             raise ValueError(f"view weight for {view.value!r} must be a number >= 0, got {value!r}")
         resolved[view] = float(value)
     return resolved
 
 
-def value_scores(repo: Repository, weights: Optional[dict] = None) -> dict[str, float]:
+def value_scores(repo: Repository, weights: Optional[Mapping] = None) -> dict[str, float]:
     """Stakeholder-value score per microservice/api.
 
     A service accrues ``weight(view)`` for every concern that references it
@@ -223,10 +225,12 @@ def value_scores(repo: Repository, weights: Optional[dict] = None) -> dict[str, 
 
 
 def retirement_candidates(
-    repo: Repository, threshold: float, weights: Optional[dict] = None
+    repo: Repository, threshold: float, weights: Optional[Mapping] = None
 ) -> list[tuple[str, float]]:
-    """Services scoring strictly below the threshold, ascending by score then id."""
-    if not threshold >= 0:  # NaN too
+    """Services scoring strictly below the threshold, an ``int`` or ``float``
+    from 0 to infinity, ascending by score then id."""
+    number = isinstance(threshold, (int, float)) and not isinstance(threshold, bool)
+    if not (number and threshold >= 0):  # NaN too
         raise ValueError("threshold must be >= 0")
     scores = value_scores(repo, weights)
     below = [(eid, s) for eid, s in scores.items() if s < threshold]

@@ -293,6 +293,18 @@ def _type_fault(record, **types: type) -> Optional[str]:
     return None
 
 
+def weight_fault(value) -> Optional[str]:
+    """What is wrong with a link or view weight, or None for an ``int`` or
+    ``float`` (not a ``bool``) from 0 to the largest float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"weight {value!r}, not a number"
+    if value < 0:
+        return f"negative weight {value}"
+    if not value <= sys.float_info.max:  # NaN, infinity, or an int past any float
+        return f"non-finite weight {value}"
+    return None
+
+
 @dataclass(slots=True)
 class Entity:
     kind: str
@@ -393,31 +405,17 @@ class Repository:
         if l.kind not in LINK_SIGNATURES:
             yield f"unknown link kind {l.kind!r}"
             return
-        if isinstance(l.weight, bool) or not isinstance(l.weight, (int, float)):
-            yield f"link {l.id!r} has weight {l.weight!r}, not a number"
-        elif l.weight < 0:
-            yield f"link {l.id!r} has negative weight {l.weight}"
-        elif not l.weight <= sys.float_info.max:  # NaN, infinity, or an int past any float
-            yield f"link {l.id!r} has non-finite weight {l.weight}"
+        if fault := weight_fault(l.weight):
+            yield f"link {l.id!r} has {fault}"
         source_kinds, target_kinds = LINK_SIGNATURES[l.kind]
-        src = self.entities.get(l.source)
-        if src is None:
-            yield f"link source {l.source!r} does not resolve"
-        elif src.kind not in source_kinds:
-            yield (
-                f"{l.kind} source must be one of {source_kinds}, "
-                f"got {src.kind!r} ({l.source})"
-            )
-        if "concern" in target_kinds and l.target in self.concerns:
-            return
-        tgt = self.entities.get(l.target)
-        if tgt is None:
-            yield f"link target {l.target!r} does not resolve"
-        elif tgt.kind not in target_kinds:
-            yield (
-                f"{l.kind} target must be one of {target_kinds}, "
-                f"got {tgt.kind!r} ({l.target})"
-            )
+        for end, ref, kinds in (("source", l.source, source_kinds), ("target", l.target, target_kinds)):
+            if "concern" in kinds and ref in self.concerns:
+                continue
+            entity = self.entities.get(ref)
+            if entity is None:
+                yield f"link {end} {ref!r} does not resolve"
+            elif entity.kind not in kinds:
+                yield f"{l.kind} {end} must be one of {kinds}, got {entity.kind!r} ({ref})"
 
     def add_concern(self, c: Concern) -> str:
         if fault := _type_fault(c, id=str, statement=str, records=list):

@@ -117,6 +117,13 @@ def _entity(fields: dict) -> Entity:
     return Entity(kind=kind, name=name, attributes=attributes)
 
 
+def _entity_data(e: Entity) -> dict:
+    data = {"kind": e.kind, "name": e.name}
+    if e.attributes:
+        data["attributes"] = e.attributes
+    return data
+
+
 def _link(fields: dict) -> Link:
     kind, source, target = (_text(fields.get(key), key) for key in ("kind", "source", "target"))
     if kind is None or source is None or target is None:
@@ -128,6 +135,10 @@ def _link(fields: dict) -> Link:
         except (TypeError, ValueError, OverflowError):
             pass
     raise _Invalid(f"link weight must be a number, got {weight!r}", "weight")
+
+
+def _link_data(l: Link) -> dict:
+    return {"kind": l.kind, "source": l.source, "target": l.target, "weight": l.weight}
 
 
 def _concern(fields: dict) -> Concern:
@@ -161,12 +172,26 @@ def _concern(fields: dict) -> Concern:
     )
 
 
-# Each section of a file: the builder of its declarations and the name of the
-# repository's adder, in the order sections are added (links may point at concerns).
+def _concern_data(c: Concern) -> dict:
+    data = {"id": c.id, "view": c.cell.view.value}
+    if c.cell.interrogative is not None:
+        data["interrogative"] = c.cell.interrogative.value
+    if c.statement:
+        data["statement"] = c.statement
+    if c.entity_refs:
+        data["entity_refs"] = c.entity_refs
+    if c.records:
+        data["records"] = c.records
+    return data
+
+
+# Each section of a file, named as the repository's collection of its items: the
+# builder of its declarations, the name of the repository's adder and the writer of
+# an item's record, in the order sections are added (links may point at concerns).
 SECTIONS = {
-    "entities": (_entity, "add_entity"),
-    "concerns": (_concern, "add_concern"),
-    "links": (_link, "add_link"),
+    "entities": (_entity, "add_entity", _entity_data),
+    "concerns": (_concern, "add_concern", _concern_data),
+    "links": (_link, "add_link", _link_data),
 }
 
 
@@ -422,38 +447,8 @@ def serialize_repository(repo: Repository) -> str:
     ``parse_repository([serialize_repository(r)])`` reproduces ``r``; a second
     serialization is byte-identical.
     """
-    data = {
-        "meta": {"name": repo.name, "version": repo.version},
-        "entities": [
-            _entity_data(repo.entities[eid]) for eid in sorted(repo.entities)
-        ],
-        "links": [_link_data(repo.links[lid]) for lid in sorted(repo.links)],
-        "concerns": [
-            _concern_data(repo.concerns[cid]) for cid in sorted(repo.concerns)
-        ],
-    }
+    data = {"meta": {"name": repo.name, "version": repo.version}}
+    for section, (_, _, writer) in SECTIONS.items():  # _CanonicalWriter sorts the keys
+        items = getattr(repo, section)
+        data[section] = [writer(items[key]) for key in sorted(items)]
     return _CanonicalWriter().dump(data)
-
-
-def _entity_data(e: Entity) -> dict:
-    data = {"kind": e.kind, "name": e.name}
-    if e.attributes:
-        data["attributes"] = e.attributes
-    return data
-
-
-def _link_data(l: Link) -> dict:
-    return {"kind": l.kind, "source": l.source, "target": l.target, "weight": l.weight}
-
-
-def _concern_data(c: Concern) -> dict:
-    data = {"id": c.id, "view": c.cell.view.value}
-    if c.cell.interrogative is not None:
-        data["interrogative"] = c.cell.interrogative.value
-    if c.statement:
-        data["statement"] = c.statement
-    if c.entity_refs:
-        data["entity_refs"] = c.entity_refs
-    if c.records:
-        data["records"] = c.records
-    return data

@@ -27,10 +27,12 @@ class Finding:
     message: str
 
 
-def _services_and_apis(repo: Repository):
+def _unlinked(repo: Repository, kinds, linked: set, message: str):
+    """``(id, message)`` for each entity of ``kinds`` whose id is not in
+    ``linked``; ``message`` follows the entity's kind and quoted name."""
     for eid, e in repo.entities.items():
-        if e.kind in SERVICE_KINDS:
-            yield eid, e
+        if e.kind in kinds and eid not in linked:
+            yield eid, f"{e.kind} {e.name!r} {message}"
 
 
 def _motivation_missing(repo: Repository):
@@ -40,19 +42,14 @@ def _motivation_missing(repo: Repository):
         concern = repo.concerns.get(link.target)
         if concern and concern.cell.interrogative is Interrogative.WHY:
             motivated.add(link.source)
-    for eid, e in _services_and_apis(repo):
-        if eid not in motivated:
-            yield eid, (
-                f"{e.kind} {e.name!r} is not motivated by any "
-                "why-cell concern (motivated_by)"
-            )
+    return _unlinked(
+        repo, SERVICE_KINDS, motivated, "is not motivated by any why-cell concern (motivated_by)"
+    )
 
 
 def _function_unlinked(repo: Repository):
     automating = {l.source for l in repo.links_of_kind("automates")}
-    for eid, e in repo.entities.items():
-        if e.kind == "microservice" and eid not in automating:
-            yield eid, f"microservice {e.name!r} automates no business function"
+    return _unlinked(repo, ("microservice",), automating, "automates no business function")
 
 
 def _data_ownership(repo: Repository):
@@ -90,12 +87,9 @@ def _category_exposure(repo: Repository):
 
 def _lifecycle_missing(repo: Repository):
     scheduled = {l.source for l in repo.links_of_kind("scheduled_on")}
-    for eid, e in _services_and_apis(repo):
-        if eid not in scheduled:
-            yield eid, (
-                f"{e.kind} {e.name!r} has no business-cycle link "
-                "(renewal/retirement schedule)"
-            )
+    return _unlinked(
+        repo, SERVICE_KINDS, scheduled, "has no business-cycle link (renewal/retirement schedule)"
+    )
 
 
 def _link_integrity(repo: Repository):

@@ -1,6 +1,7 @@
 import random
 import sys
 from importlib import resources
+from types import MappingProxyType
 
 import pytest
 import yaml
@@ -27,6 +28,7 @@ from w6hea.model import (
     Entity,
     Interrogative,
     Link,
+    ModelError,
     Repository,
     View,
     ViewCell,
@@ -326,6 +328,64 @@ class TestRetirement:
                 key=lambda pair: (pair[1], pair[0]),
             )
             assert retirement_candidates(repo, threshold) == want
+
+    @pytest.mark.parametrize("threshold", ["1", None, [1], True, False])
+    def test_a_threshold_that_is_not_an_int_or_float_is_rejected(self, threshold):
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "idle"))
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            retirement_candidates(repo, threshold)
+
+    @pytest.mark.parametrize("threshold", [2, float("inf")])
+    def test_an_int_or_an_infinite_threshold_is_taken(self, threshold):
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "idle"))
+        assert retirement_candidates(repo, threshold) == [("microservice.idle", 0.0)]
+
+
+class TestWeightsArgument:
+    @pytest.mark.parametrize("weights", ["owner=2", [("owner", 2)], [], 2.0])
+    def test_weights_that_are_not_a_mapping_are_rejected(self, weights):
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "idle"))
+        with pytest.raises(ValueError, match=r"^weights must be a mapping of view to weight, got "):
+            value_scores(repo, weights)
+        with pytest.raises(ValueError, match=r"^weights must be a mapping"):
+            retirement_candidates(repo, 1.0, weights)
+
+    def test_a_read_only_mapping_is_taken(self):
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "cart"))
+        repo.add_concern(Concern("c1", ViewCell(View.OWNER, I.WHAT), entity_refs=["microservice.cart"]))
+        assert value_scores(repo, MappingProxyType({"owner": 2})) == {"microservice.cart": 2.0}
+
+
+REFUSED_WEIGHTS = [True, "2", None, -1, -0.5, float("nan"), float("inf"), 10**400]
+TAKEN_WEIGHTS = [0, 0.0, 1, 2.5, 10**300]
+
+
+def weight_id(weight):
+    return {10**400: "10**400", 10**300: "10**300"}.get(weight, repr(weight))
+
+
+@pytest.mark.parametrize(
+    "weight, taken",
+    [(w, False) for w in REFUSED_WEIGHTS] + [(w, True) for w in TAKEN_WEIGHTS],
+    ids=weight_id,
+)
+def test_link_and_view_weights_follow_one_rule(weight, taken):
+    repo = Repository()
+    repo.add_entity(Entity("api", "orders"))
+    repo.add_entity(Entity("microservice", "cart"))
+    link = Link("exposes", "api.orders", "microservice.cart", weight)
+    if taken:
+        assert repo.add_link(link) == link.id
+        assert value_scores(repo, {"owner": weight}).keys() == {"api.orders", "microservice.cart"}
+        return
+    with pytest.raises(ModelError, match="weight"):
+        repo.add_link(link)
+    with pytest.raises(ValueError, match="view weight for 'owner' must be a number >= 0"):
+        value_scores(repo, {"owner": weight})
 
 
 class TestReuse:

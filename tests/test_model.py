@@ -340,6 +340,19 @@ def test_integrity_scan_reports_an_unknown_link_kind_once():
     assert repo.integrity_violations() == [(link.id, f"link {link.id}: unknown link kind 'calls'")]
 
 
+def test_integrity_scan_reports_weight_then_source_then_target():
+    repo = Repository()
+    repo.add_entity(Entity("microservice", "x"))
+    repo.add_entity(Entity("api", "y"))
+    link = Link("exposes", "microservice.x", "api.y", -1)  # both ends the wrong way round
+    repo.links[link.id] = link  # a hand edit that bypassed add_link
+    assert [m for _, m in repo.integrity_violations()] == [
+        f"link {link.id}: link {link.id!r} has negative weight -1",
+        f"link {link.id}: exposes source must be one of ('api',), got 'microservice' (microservice.x)",
+        f"link {link.id}: exposes target must be one of ('microservice',), got 'api' (api.y)",
+    ]
+
+
 def test_concern_without_a_view_cell_is_rejected():
     with pytest.raises(ModelError, match="concern 'c1' has no valid cell"):
         Repository().add_concern(Concern("c1", "scope/why"))

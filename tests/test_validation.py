@@ -96,6 +96,26 @@ class TestRuleCatalog:
         keys = [(f.rule_id, f.subject) for f in findings]
         assert keys == sorted(keys)
 
+    def test_the_text_of_the_rules_on_services_without_a_link(self):
+        # Quotes and braces in a name pass through each message as its repr.
+        repo = Repository()
+        repo.add_entity(Entity("microservice", "O'Brien {x}"))
+        repo.add_entity(Entity("api", 'say "hi"'))
+        assert [(f.rule_id, f.severity, f.subject, f.message) for f in validate(repo)] == [
+            ("FUNCTION_UNLINKED", "warning", "microservice.o-brien-x",
+             "microservice \"O'Brien {x}\" automates no business function"),
+            ("LIFECYCLE_MISSING", "info", "api.say-hi",
+             "api 'say \"hi\"' has no business-cycle link (renewal/retirement schedule)"),
+            ("LIFECYCLE_MISSING", "info", "microservice.o-brien-x",
+             "microservice \"O'Brien {x}\" has no business-cycle link "
+             "(renewal/retirement schedule)"),
+            ("MOTIVATION_MISSING", "error", "api.say-hi",
+             "api 'say \"hi\"' is not motivated by any why-cell concern (motivated_by)"),
+            ("MOTIVATION_MISSING", "error", "microservice.o-brien-x",
+             "microservice \"O'Brien {x}\" is not motivated by any why-cell concern "
+             "(motivated_by)"),
+        ]
+
 
 class TestPrecedence:
     def test_validate_runs_precedence(self):
