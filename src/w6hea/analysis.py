@@ -183,8 +183,8 @@ def _view_weights(weights: Optional[Mapping]) -> dict[View, float]:
             view = key if isinstance(key, View) else View(str(key))
         except ValueError:
             raise ValueError(f"unknown view {key!r} in weights map") from None
-        if weight_fault(value) is not None:
-            raise ValueError(f"view weight for {view.value!r} must be a number >= 0, got {value!r}")
+        if fault := weight_fault(value):
+            raise ValueError(f"view weight for {view.value!r}: {fault}")
         resolved[view] = float(value)
     return resolved
 

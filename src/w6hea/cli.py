@@ -26,16 +26,15 @@ class UsageError(Exception):
 
 def discover_files(paths: list[str]) -> list[Path]:
     """Expand positional paths: files as given, directories searched
-    recursively for repository files."""
-    found: list[Path] = []
+    recursively for repository files.  A file reached twice is kept once,
+    where it was first reached."""
+    found: dict[Path, Path] = {}  # resolved path -> the path as first reached
     for raw in paths:
         p = Path(raw)
-        if p.is_dir():
-            for pattern in REPO_PATTERNS:
-                found.extend(sorted(p.rglob(pattern)))
-        else:
-            found.append(p)
-    return found
+        named = [f for pattern in REPO_PATTERNS for f in sorted(p.rglob(pattern))] if p.is_dir() else [p]
+        for path in named:
+            found.setdefault(path.resolve(), path)
+    return list(found.values())
 
 
 def _read(path) -> SourceDocument:

@@ -8,6 +8,7 @@ order is the grid's one ordering: rows scope..consumer, columns who..when.
 
 from __future__ import annotations
 
+import datetime
 import re
 import sys
 from dataclasses import dataclass, field
@@ -233,17 +234,27 @@ LINK_SIGNATURES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 # included.
 FIELD_NESTING_LIMIT = 97
 
+# The scalars of a repository value: text, an int, a float, a bool, null, a date or a timestamp.
+_SCALARS = {str, int, float, bool, type(None), datetime.date, datetime.datetime}
 
-def nesting(value) -> int:
-    """How many collections deep ``value`` nests, itself included (0 for a scalar),
-    counted up to one past ``FIELD_NESTING_LIMIT`` (a list holding itself stops there)."""
-    depth, level = 0, [value]
-    while depth <= FIELD_NESTING_LIMIT and (
-        level := [v for v in level if isinstance(v, (dict, list, tuple, set))]
-    ):
+
+def value_fault(value, what: str) -> Optional[str]:
+    """What makes ``value`` no repository value, or None.  A repository value
+    is a scalar, a list, or a mapping with scalar keys, and nests at most
+    ``FIELD_NESTING_LIMIT`` collections deep, itself included.  The fault is
+    the first value or key, level by level, of another type, or a collection
+    past the bound (where a list holding itself stops).  ``what`` names the
+    value in the message."""
+    level, depth = [value], 0
+    while level := [v for v in level if type(v) not in _SCALARS]:
+        for v in level:
+            if type(v) is not list and type(v) is not dict:
+                return f"{what} hold a value of type {type(v).__name__}, not a repository value"
         depth += 1
-        level = [c for v in level for c in ((*v, *v.values()) if isinstance(v, dict) else v)]
-    return depth
+        if depth > FIELD_NESTING_LIMIT:
+            return f"{what} nest more than {FIELD_NESTING_LIMIT} deep"
+        level = [c for v in level for c in ((*v, *v.values()) if type(v) is dict else v)]
+    return None
 
 
 _SLUG_RE = re.compile(r"[^a-z0-9]+")
@@ -375,10 +386,8 @@ class Repository:
             raise ModelError(f"unknown entity kind {e.kind!r}")
         if eid.endswith("."):  # no letter or digit of the name folds to ASCII: an empty slug
             raise ModelError(f"entity of kind {e.kind!r} has an empty name")
-        if nesting(e.attributes) > FIELD_NESTING_LIMIT:
-            raise ModelError(
-                f"entity {eid!r}: attributes nest more than {FIELD_NESTING_LIMIT} deep"
-            )
+        if fault := value_fault(e.attributes, f"entity {eid!r}: attributes"):
+            raise ModelError(fault)
         for key, value in e.attributes.items():
             allowed = ATTRIBUTE_ENUMS.get((e.kind, key))
             if allowed is not None and value is not None and value not in allowed:
@@ -434,10 +443,8 @@ class Repository:
             raise ModelError(
                 f"concern {c.id!r}: ids starting with {_GROUP_PREFIX!r} name stakeholder groups"
             )
-        if nesting(c.records) > FIELD_NESTING_LIMIT:
-            raise ModelError(
-                f"concern {c.id!r}: records nest more than {FIELD_NESTING_LIMIT} deep"
-            )
+        if fault := value_fault(c.records, f"concern {c.id!r}: records"):
+            raise ModelError(fault)
         for ref in c.entity_refs:
             if ref not in self.entities:
                 raise ModelError(

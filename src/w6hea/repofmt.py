@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import yaml
+from yaml.constructor import ConstructorError
+from yaml.reader import ReaderError
 
 from .model import (
     Concern,
@@ -79,9 +81,17 @@ def _loc(path: str, mark) -> Location:
 
 
 def yaml_error(path: str, exc: yaml.YAMLError) -> Diagnostic:
-    """The located error diagnostic for YAML text that could not be loaded."""
-    location = _loc(path, getattr(exc, "problem_mark", None))
-    return Diagnostic("error", f"invalid YAML: {exc}", location)
+    """The located error diagnostic, on one line, for YAML text that could not
+    be loaded: the problem, after its context and the context's line and column.
+    A character the reader refuses is named with its offset into the text."""
+    if isinstance(exc, ReaderError):  # an offset and no mark: at 1:1
+        problem = f"unacceptable character #x{exc.character:04x}: {exc.reason} (position {exc.position})"
+        exc = yaml.MarkedYAMLError(problem=problem)
+    context, mark = exc.context, exc.context_mark
+    if context and mark:
+        context += f" at {mark.line + 1}:{mark.column + 1}"
+    message = ", ".join(part for part in (context, exc.problem, exc.note) if part)
+    return Diagnostic("error", f"invalid YAML: {message}", _loc(path, exc.problem_mark))
 
 
 class _Invalid(Exception):
@@ -89,13 +99,12 @@ class _Invalid(Exception):
     the field at fault, or None for the declaration as a whole."""
 
 
-_NOT_TEXT = {list: "a sequence", dict: "a mapping", set: "a mapping", bytes: "binary"}
+_NOT_TEXT = {list: "a sequence", dict: "a mapping"}
 
 
 def _text(value, key: str, what: str = "") -> Optional[str]:
-    """A scalar ``value`` as text, None as None.  A collection or binary data,
-    which ``str`` would turn into its Python repr, is an error at the value of
-    ``key``."""
+    """A scalar ``value`` as text, None as None.  A collection, which ``str``
+    would turn into its Python repr, is an error at the value of ``key``."""
     if type(value) in _NOT_TEXT:
         raise _Invalid(f"{what or key} must be text, not {_NOT_TEXT[type(value)]}", key)
     return None if value is None else str(value)
@@ -129,7 +138,7 @@ def _link(fields: dict) -> Link:
     if kind is None or source is None or target is None:
         raise _Invalid("link requires 'kind', 'source' and 'target'", None)
     weight = fields.get("weight", 1.0)
-    if not isinstance(weight, (bool, bytes)):  # float() reads true as 1.0, b'0.5' as 0.5
+    if not isinstance(weight, bool):  # float() reads true as 1.0
         try:
             return Link(kind=kind, source=source, target=target, weight=float(weight))
         except (TypeError, ValueError, OverflowError):
@@ -240,17 +249,19 @@ class _RepositoryReader(Reader):
         if top.role != "root":
             self.declaration(top.role, value, error, mark, node)
             return not top.keep
-        name = key.text if key.text is not None else f"<{key.node.kind}>"  # a key that is not a scalar
-        if name == "meta":
+        if key.text is None:  # a collection as a key is an error in every mapping
+            problem = ConstructorError("while constructing a mapping", top.mark, "found unhashable key", key.mark)
+            self.diagnostics.append(yaml_error(self.path, problem))
+        elif key.text == "meta":
             for mk, mv in (self.build(_meta, value, error, mark, node) or {}).items():
                 self.meta.setdefault(mk, mv)  # the first document's value wins
-        elif name not in SECTIONS:
-            self.report("warning", key.mark, f"unknown top-level key {name!r} ignored")
+        elif key.text not in SECTIONS:
+            self.report("warning", key.mark, f"unknown top-level key {key.text!r} ignored")
         elif node is None or node.kind != "sequence":
             self.report("error", mark, "expected a sequence")
-        elif node.role != name:  # an alias: the anchor's items are declarations again
+        elif node.role != key.text:  # an alias: the anchor's items are declarations again
             for item in node.raw:
-                self.declaration(name, copy.deepcopy(item.value), item.err, item.mark, item)
+                self.declaration(key.text, copy.deepcopy(item.value), item.err, item.mark, item)
         return True
 
     def declaration(self, section: str, value, error, mark, node) -> None:
@@ -310,19 +321,15 @@ def parse_repository(
     return repo, diagnostics
 
 
-class _Pair(tuple):
-    """One ``(key, value)`` item of an ordered map, written as a mapping of one pair."""
-
-
 class _CanonicalWriter(yaml.SafeDumper):
     """Writes a value as ``SafeDumper`` does with sorted keys, Unicode, block
     style and width 100, but never with anchors and aliases, and with a string
     holding U+0085 double-quoted, where it is escaped as ``\\N``, with text
-    that JSON's number rule reads as a number (``1e3``) quoted, and with a
-    non-empty list of pairs (an ordered map as read) as ``!!pairs``.  The emitter's
-    own rules choose each scalar's style and tag, and its writers fold what does
-    not fit; in place of the serializer and the emitter's event states, one loop
-    takes pending steps off a stack, so deep values cannot exhaust the call stack.
+    that JSON's number rule reads as a number (``1e3``) quoted.  It writes
+    repository values only.  The emitter's own rules choose each scalar's style
+    and tag, and its writers fold what does not fit; in place of the serializer
+    and the emitter's event states, one loop takes pending steps off a stack, so
+    deep values cannot exhaust the call stack.
     """
 
     def __init__(self):
@@ -356,17 +363,9 @@ class _CanonicalWriter(yaml.SafeDumper):
         """Write ``value`` inside a collection at ``indent``; a collection
         pushes its entries as steps."""
         kind = type(value)
-        if kind not in (dict, list, set, tuple, _Pair):
+        if kind is not dict and kind is not list:
             return self.scalar(self.form(value), indent + 2, False)
-        if kind is set:
-            self.write_indicator("!!set", True)
-            value, kind = dict.fromkeys(value), dict
-        elif kind is list and value and all(type(item) is tuple and len(item) == 2 for item in value):
-            self.write_indicator("!!pairs", True)  # !!omap and !!pairs read as such a list
-            value = [_Pair(item) for item in value]
-        if kind is _Pair:  # a mapping of one pair, whatever its key
-            items, indicator, indent = [value], None, indent + 2
-        elif kind is dict:
+        if kind is dict:
             items, indicator, indent = list(value.items()), None, indent + 2
             try:
                 items = sorted(items)
@@ -381,15 +380,12 @@ class _CanonicalWriter(yaml.SafeDumper):
         self.steps += [(indent, indicator, item) for item in reversed(items)]
 
     def entry(self, key, value, indent: int) -> None:
-        form = None if type(key) in (dict, list, set, tuple) else self.form(key)
-        if form and form[3]:
-            self.scalar(form, indent + 2, True)
-        elif form is None and not key:  # an empty collection is a simple key
-            self.node(key, indent, True)
-        else:
+        form = self.form(key)
+        if not form[3]:  # ``? key``, and ``: value`` as the next step
             self.write_indicator("?", True, indention=True)
             self.steps.append((indent, ":", value))
-            return self.node(key, indent, True)
+            return self.scalar(form, indent + 2, False)
+        self.scalar(form, indent + 2, True)
         self.write_indicator(":", False)
         self.node(value, indent, True)
 
@@ -403,8 +399,6 @@ class _CanonicalWriter(yaml.SafeDumper):
             self.whitespace = self.indention = False
             return self.stream.write(data)
         self.indent = indent
-        if style == "|":
-            return self.write_literal(text)
         write = {"": self.write_plain, "'": self.write_single_quoted}.get(style)
         (write or self.write_double_quoted)(text, not simple_key)
 
@@ -416,16 +410,16 @@ class _CanonicalWriter(yaml.SafeDumper):
         if type(value) is str:
             if value in self.forms:
                 return self.forms[value]
-            key, tag, text, hint = value, self.DEFAULT_SCALAR_TAG, value, None
+            key, tag, text = value, self.DEFAULT_SCALAR_TAG, value
         else:
             represent = self.yaml_representers.get(type(value)) or self.yaml_representers[None]
             node = represent(self, value)
-            key = tag, text, hint = node.tag, node.value, node.style
+            key = tag, text = node.tag, node.value  # no repository value gets a style hint
         if key not in self.forms:
             self.analysis = analysis = self.analyze_scalar(text)
             detected = self.resolve(yaml.ScalarNode, text, (True, False))
             implicit = detected == tag, self.DEFAULT_SCALAR_TAG == tag
-            self.event = yaml.ScalarEvent(None, tag, implicit, text, style=hint)
+            self.event = yaml.ScalarEvent(None, tag, implicit, text)
             if tag not in self.tags:
                 self.tags[tag] = self.prepare_tag(tag)
             style, short = self.choose_scalar_style(), self.tags[tag]

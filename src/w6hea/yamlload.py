@@ -1,18 +1,18 @@
-"""YAML text to Python values, read as PyYAML's safe loader reads it, with
-located errors and bounds on nesting and aliases.
+"""YAML text to Python values, read as PyYAML's safe loader reads the core
+tags, with located errors and bounds on nesting and aliases.
 
 libyaml's parser (PyYAML's pure-Python one where PyYAML was built without
 libyaml) supplies the events; ``Reader`` builds values straight from them,
 with no node tree.  Scalars read through PyYAML's own implicit resolver and
-``SafeConstructor``.  Repository files, OpenAPI documents, manifests and the
-prompt catalog all load through ``Reader``.
+``SafeConstructor``; a tag outside the core ones is an error.  Repository
+files, OpenAPI documents, manifests and the prompt catalog all load through
+``Reader``.
 """
 
 from __future__ import annotations
 
 import copy
 import re
-from collections.abc import Hashable
 from types import GeneratorType
 from typing import NamedTuple, Optional
 
@@ -46,8 +46,14 @@ else:
 
 
 class _Scalars(SafeConstructor, Resolver):
-    """PyYAML's implicit resolver and safe constructors: the tag and value of
-    a scalar, and what a tag makes of a collection."""
+    """PyYAML's implicit resolver and its safe constructors of the core tags,
+    those a repository value is built from: the tag and value of a scalar, and
+    what a tag makes of a collection.  Any other tag is an error."""
+
+    yaml_constructors = {
+        f"tag:yaml.org,2002:{tag}": SafeConstructor.yaml_constructors[f"tag:yaml.org,2002:{tag}"]
+        for tag in ("str", "int", "float", "bool", "null", "seq", "map", "timestamp")
+    }
 
     def __init__(self):
         SafeConstructor.__init__(self)
@@ -92,7 +98,7 @@ class _JsonScalars(_Scalars):
 
 _JsonScalars.add_implicit_resolver(*JSON_FLOAT)
 
-_STR, _MERGE, _EQUALS, _OMAP = (f"tag:yaml.org,2002:{t}" for t in ("str", "merge", "value", "omap"))
+_STR, _MERGE = "tag:yaml.org,2002:str", "tag:yaml.org,2002:merge"
 
 
 def _child(order: tuple, step: int) -> tuple:
@@ -111,40 +117,16 @@ class _Key(NamedTuple):
     mark: object
     text: Optional[str]
     tag: Optional[str]
-    node: Optional["_Node"]
-
-    def read(self) -> tuple:
-        """``(value, error, mark, text)`` of the key in a mapping PyYAML
-        flattens, which reads YAML's value key ``=`` (``!!value``) as text."""
-        return (self.text, None, self.mark, self.text) if self.tag == _EQUALS else self[:4]
-
-
-def _value_key(node) -> Optional[tuple]:
-    """The first pair of a kept mapping whose key is ``=``, YAML's value key."""
-    return next(((key, value) for key, value in node.raw if key.tag == _EQUALS), None)
-
-
-def _stand_in(node) -> yaml.Node:
-    """A PyYAML node holding what ``SafeConstructor.construct_scalar`` reads of
-    a kept node: a scalar's text, or a mapping's first ``=`` key and value."""
-    if node.kind == "scalar":
-        return yaml.ScalarNode(node.tag, node.text, node.mark, None)
-    if node.kind == "sequence":
-        return yaml.SequenceNode(node.tag, [], node.mark, None)
-    pair = _value_key(node)
-    pairs = [(yaml.ScalarNode(_EQUALS, "=", pair[0].mark, None), _stand_in(pair[1]))] if pair else []
-    return yaml.MappingNode(node.tag, pairs, node.mark, None)
 
 
 class _Node:
     """A collection being built, or a node an alias, a merge key or a
     diagnostic still needs: its value, its first error and its start mark.
-    A collection's ``mode`` is what its tag builds: ``seq`` a list, ``map`` a
-    dict, ``set`` a set, ``pairs`` an ordered map's list of pairs.  A kept
-    collection (under an anchor or a merge key) keeps its children in ``raw``."""
+    A kept collection (under an anchor or a merge key) keeps its children in
+    ``raw``."""
 
     __slots__ = (
-        "kind", "value", "err", "mark", "text", "tag", "size", "open", "keep", "role", "mode",
+        "kind", "value", "err", "mark", "text", "tag", "size", "open", "keep", "role",
         "key", "pos", "errs", "seen", "duplicate", "marks", "merging", "merges", "raw", "flat",
     )
 
@@ -245,16 +227,11 @@ class Reader:
         node.keep = event.anchor is not None or top is not None and (top.keep or top.merging)
         node.key, node.pos, node.errs, node.marks, node.merging = None, 0, [], {}, False
         node.seen, node.duplicate, node.merges, node.raw = set(), None, [], []
-        node.mode, node.value = ("map", {}) if mapping else ("seq", [])
+        node.value = {} if mapping else []
         self.count += 1
         if event.tag is not None and event.tag != "!":
             empty = (yaml.MappingNode if mapping else yaml.SequenceNode)(event.tag, [], event.start_mark, None)
-            value, node.err = self.scalars.construct(empty)
-            node.keep = node.keep or mapping and node.err is not None and node.err[0] == (0,)
-            if node.err is None and type(value) is set:
-                node.mode, node.value = "set", value
-            elif node.err is None and not mapping and event.tag != "tag:yaml.org,2002:seq":
-                node.mode, node.keep = "pairs", True  # omap or pairs
+            node.err = self.scalars.construct(empty)[1]
         self.stack.append(node)
 
     def role(self, parent: Optional[_Node], mapping: bool) -> Optional[str]:
@@ -292,13 +269,12 @@ class Reader:
             if top.role is None or not self.place(top, None, value, error, mark, node):
                 if top.keep:
                     top.raw.append(node)
-                if top.mode == "seq":
-                    top.value.append(value)
-                    if error:
-                        top.errs.append((top.pos, 0, error))
+                top.value.append(value)
+                if error:
+                    top.errs.append((top.pos, 0, error))
                 top.pos += 1
         elif top.key is None:
-            top.key = _Key(value, error, mark, text, tag, node)
+            top.key = _Key(value, error, mark, text, tag)
             if tag == _MERGE:
                 top.merging = top.role is None
             elif tag is not None:
@@ -315,29 +291,26 @@ class Reader:
                 top.merges.append(node)
                 top.merging = False
             else:
-                self.pair(top, top.pos, key.read(), value, error, mark)
+                self.pair(top, top.pos, key, value, error, mark)
                 top.pos += 1
 
-    def pair(self, top: _Node, step: int, key: tuple, value, error, mark) -> None:
+    def pair(self, top: _Node, step: int, key: _Key, value, error, mark) -> None:
         """Add a key and its value to the mapping ``top`` as its pair ``step``."""
-        key, key_error, key_mark, text = key
-        if key_error:
-            top.errs.append((step, 0, key_error))
-        if type(key) is not str and not isinstance(key, Hashable):
-            problem = ConstructorError("while constructing a mapping", top.mark, "found unhashable key", key_mark)
+        if key.error:
+            top.errs.append((step, 0, key.error))
+        if type(key.value) is list or type(key.value) is dict:
+            problem = ConstructorError("while constructing a mapping", top.mark, "found unhashable key", key.mark)
             top.errs.append((step, 1, ((0,), problem)))
-        elif top.mode == "map":
-            top.value[key] = value
-        elif top.mode == "set":
-            top.value.add(key)
+        else:
+            top.value[key.value] = value
         if error:
             top.errs.append((step, 2, error))
-        if text is not None:
-            top.marks[text] = mark
+        if key.text is not None:
+            top.marks[key.text] = mark
 
     def close(self, node: _Node) -> None:
         """Finish a collection whose end event came: its duplicate keys, its
-        merge keys, an ordered map's pairs, and its first error."""
+        merge keys and its first error."""
         node.open, node.size = False, self.count - node.size
         if node.duplicate:
             text, mark = node.duplicate
@@ -351,32 +324,18 @@ class Reader:
                 errors.append(((1, -1), flat_error))
             else:
                 explicit = node.value, node.marks, node.errs
-                node.value, node.marks, node.errs = type(node.value)(), {}, []
+                node.value, node.marks, node.errs = {}, {}, []
                 for step, (key, vnode) in enumerate(merged):
                     self.pair(node, step, key, copy.deepcopy(vnode.value), vnode.err, vnode.mark)
                 node.value.update(explicit[0])
                 node.marks.update(explicit[1])
                 node.errs += [(step + len(merged), sub, error) for step, sub, error in explicit[2]]
-        if node.mode == "pairs":
-            context = "while constructing " + ("an ordered map" if node.tag == _OMAP else "pairs")
-            for step, item in enumerate(node.raw):
-                if item.kind != "mapping" or len(item.raw) != 1:
-                    problem = f"expected a mapping of length 1, but found {item.kind}"
-                    if item.kind == "mapping":
-                        problem = f"expected a single mapping item, but found {len(item.raw)} items"
-                    node.errs.append((step, 0, ((0,), ConstructorError(context, node.mark, problem, item.mark))))
-                    break
-                key, vnode = item.raw[0]
-                node.errs += [(step, sub, e) for sub, e in ((1, key.error), (2, vnode.err)) if e]
-                node.value.append(copy.deepcopy((key.value, vnode.value)))
         if node.keep and node.kind == "mapping":
-            explicit = [(key.read(), vnode) for key, vnode in node.raw if key.tag != _MERGE]
+            explicit = [(key, vnode) for key, vnode in node.raw if key.tag != _MERGE]
             node.flat = merged + explicit, flat_error
-        width = 1 if node.mode == "seq" else 3
+        width = 1 if node.kind == "sequence" else 3
         errors += [(_child(e[0], width * step + sub), e[1]) for step, sub, e in node.errs]
         node.err = min(errors, key=lambda error: error[0]) if errors else None
-        if node.err and node.err[0] == (0,) and node.kind == "mapping" and _value_key(node):
-            node.value, node.err = self.scalars.construct(_stand_in(node))  # a scalar tag
 
     def merged(self, merges: list, mark) -> tuple:
         """``(pairs, error)``: the pairs that merge keys with the values

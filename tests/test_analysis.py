@@ -34,6 +34,7 @@ from w6hea.model import (
     ViewCell,
     cells,
     group_id,
+    weight_fault,
 )
 
 from conftest import load_fixture_repo
@@ -250,7 +251,16 @@ class TestScores:
         repo.add_entity(Entity("microservice", "cart"))
         with pytest.raises(ValueError) as raised:
             value_scores(repo, {"owner": weight})
-        assert str(raised.value) == f"view weight for 'owner' must be a number >= 0, got {weight!r}"
+        assert str(raised.value) == f"view weight for 'owner': {weight_fault(weight)}"
+
+    @pytest.mark.parametrize("weight, fault", [
+        (float("inf"), "non-finite weight inf"), (float("nan"), "non-finite weight nan"),
+        (-1, "negative weight -1"), (True, "weight True, not a number"),
+    ])
+    def test_a_refused_weight_is_named_by_its_fault(self, weight, fault):
+        with pytest.raises(ValueError) as raised:
+            value_scores(Repository(), {"owner": weight})
+        assert str(raised.value) == f"view weight for 'owner': {fault}"
 
     @pytest.mark.parametrize("weight", [0, 2, 0.5, sys.float_info.max])
     def test_an_int_or_float_weight_is_taken(self, weight):
@@ -384,7 +394,7 @@ def test_link_and_view_weights_follow_one_rule(weight, taken):
         return
     with pytest.raises(ModelError, match="weight"):
         repo.add_link(link)
-    with pytest.raises(ValueError, match="view weight for 'owner' must be a number >= 0"):
+    with pytest.raises(ValueError, match="^view weight for 'owner': "):
         value_scores(repo, {"owner": weight})
 
 

@@ -10,7 +10,7 @@ import pytest
 from w6hea import model
 
 from conftest import fixture_path, invoke
-from test_repofmt import NESTING_LIMIT
+from test_repofmt import NESTING_LIMIT, REFUSALS
 
 COMPLIANT = str(fixture_path("compliant.ea.yaml"))
 VIOLATIONS = str(fixture_path("violations.ea.yaml"))
@@ -39,6 +39,13 @@ class TestValidate:
         assert result.exit_code == 2
         assert "malformed.ea.yaml:" in result.stderr
 
+    def test_a_yaml_error_is_one_line_located_in_its_file(self):
+        result = run("validate", MALFORMED)
+        assert result.stderr == (
+            f"{MALFORMED}:6:1: error: invalid YAML: "
+            "while parsing a flow sequence at 5:11, did not find expected ',' or ']'\n"
+        )
+
     def test_unknown_subcommand_exits_two(self):
         result = run("frobnicate")
         assert result.exit_code == 2
@@ -50,6 +57,23 @@ class TestValidate:
         )
         result = run("validate", str(tmp_path))
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("twice", ["directory-and-file", "same-file"])
+    def test_a_file_named_twice_is_read_once(self, tmp_path, twice):
+        (tmp_path / "sub").mkdir()
+        path = tmp_path / "sub" / "r.ea.yaml"
+        path.write_text(Path(COMPLIANT).read_text(encoding="utf-8"))
+        first = tmp_path if twice == "directory-and-file" else path
+        result = run("validate", str(first), str(tmp_path / "sub" / ".." / "sub" / "r.ea.yaml"))
+        assert (result.exit_code, result.output) == (0, "")
+
+    def test_discovery_keeps_the_first_naming_of_each_file(self, tmp_path):
+        from w6hea.cli import discover_files
+
+        for name in ("a.ea.yaml", "b.ea.yaml"):
+            (tmp_path / name).write_text("")
+        a, b = str(tmp_path / "a.ea.yaml"), str(tmp_path / "b.ea.yaml")
+        assert discover_files([b, str(tmp_path), a, b]) == [Path(b), Path(a)]
 
 
 class TestMatrixAndElicit:
@@ -335,6 +359,14 @@ def test_analyze_reuse_prints_each_candidate(tmp_path):
     assert (result.exit_code, result.stdout, result.stderr) == (0, "microservice.cart\t2\n", "")
 
 
+@pytest.mark.parametrize("text, expected", REFUSALS)
+def test_validate_refuses_what_is_no_repository_value(tmp_path, text, expected):
+    path = tmp_path / "r.ea.yaml"
+    path.write_text(text, encoding="utf-8")
+    result = run("validate", path)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"{path}:{expected}\n")
+
+
 def test_empty_weight_pair_is_skipped():
     skipped = run("analyze", "scores", COMPLIANT, "--weights", "owner=2,,scope=1")
     assert (skipped.exit_code, skipped.stderr) == (0, "")
@@ -351,6 +383,15 @@ def test_ingest_file_that_cannot_be_read_is_a_usage_error(tmp_path, kind, where)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.startswith("usage: ")
     assert result.stderr.endswith(f": error: cannot read {path}: {reason.value}\n")
+
+
+@pytest.mark.parametrize("weight, fault", [
+    ("inf", "non-finite weight inf"), ("nan", "non-finite weight nan"), ("-1", "negative weight -1.0"),
+])
+def test_a_refused_weight_names_its_fault(weight, fault):
+    result = run("analyze", "scores", COMPLIANT, "--weights", f"owner={weight}")
+    assert result.exit_code == 2
+    assert result.stderr.endswith(f"w6hea analyze: error: view weight for 'owner': {fault}\n")
 
 
 def test_nan_weight_is_a_usage_error():

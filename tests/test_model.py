@@ -162,6 +162,36 @@ class TestRepositoryMutation:
             repo.add_entity(entity)
             repo.add_concern(concern)
 
+    @pytest.mark.parametrize(
+        "value, fault",
+        [
+            ({"a", "b"}, "hold a value of type set, not a repository value"),
+            (b"hi", "hold a value of type bytes, not a repository value"),
+            (("a", 1), "hold a value of type tuple, not a repository value"),
+            ({("a",): 1}, "hold a value of type tuple, not a repository value"),
+            ({"ok": [1, {"deeper": frozenset()}]}, "hold a value of type frozenset, not a repository value"),
+        ],
+        ids=["set", "bytes", "tuple", "collection-key", "nested"],
+    )
+    def test_adders_refuse_what_is_no_repository_value(self, value, fault):
+        repo = Repository()
+        with pytest.raises(ModelError) as raised:
+            repo.add_entity(Entity("api", "orders", {"methods": value}))
+        assert str(raised.value) == f"entity 'api.orders': attributes {fault}"
+        with pytest.raises(ModelError) as raised:
+            repo.add_concern(Concern("c1", ViewCell(View.CONSUMER), records=[{"r": value}]))
+        assert str(raised.value) == f"concern 'c1': records {fault}"
+        assert (repo.entities, repo.concerns) == ({}, {})
+
+    def test_every_repository_value_type_is_taken(self):
+        import datetime
+
+        attributes = {
+            "tech_stack": ["a", 1, 1.5, True, None, datetime.date(2020, 1, 1), [], {}],
+            "owner": {1: "a", 2.5: "b", False: "c", None: "d", datetime.datetime(2020, 1, 1): "e"},
+        }
+        assert Repository().add_entity(Entity("microservice", "cart", attributes)) == "microservice.cart"
+
     def test_unknown_attribute_warns(self):
         repo = Repository()
         cart = Entity("microservice", "cart", {"colour": "red", "category": "system"})

@@ -1,9 +1,12 @@
 """The YAML loader and ``parse_repository`` as they were before the parser
 built values straight from libyaml's events: PyYAML's Python composer builds
 each document's node tree, with the checks this module's ``YamlLoader`` adds,
-and ``SafeConstructor`` builds each declaration from its node.  Tests compare
-``w6hea.repofmt`` against it; executed while PyYAML reports no libyaml (see
-``reference_module``), its ``YamlLoader`` runs on PyYAML's pure-Python parser.
+and ``SafeConstructor`` builds each declaration from its node.  Both are
+narrowed to repository values as the reader is: the loader constructs the
+core tags only, and a collection used as a top-level key is an error.
+Tests compare ``w6hea.repofmt`` against it; executed while PyYAML reports no
+libyaml (see ``reference_module``), its ``YamlLoader`` runs on PyYAML's
+pure-Python parser.
 """
 
 import importlib.util
@@ -49,7 +52,14 @@ class YamlLoader(Composer, _Parser, SafeConstructor, Resolver):
     calls.  PyYAML's Python composer sits on the parser, so that it can reject
     nesting deeper than ``_NESTING_LIMIT``, a key written twice in one mapping,
     an alias inside its own anchor, and aliases that expand to more than
-    ``_ALIAS_LIMIT`` values."""
+    ``_ALIAS_LIMIT`` values.  It constructs the core tags only: any other tag
+    goes to ``construct_undefined``, as an unknown tag does."""
+
+    yaml_constructors = {
+        tag: constructor
+        for tag, constructor in SafeConstructor.yaml_constructors.items()
+        if tag is None or tag.rpartition(":")[2] in ("str", "int", "float", "bool", "null", "seq", "map", "timestamp")
+    }
 
     def __init__(self, stream):
         try:
@@ -196,9 +206,12 @@ def parse_repository(
                 report("error", doc.path, root, "expected a mapping")
                 continue
             for key_node, value_node in root.value:
-                key = key_node.value  # a key that is not a scalar is named by its node type
-                key = key if isinstance(key_node, yaml.ScalarNode) else f"<{key_node.id}>"
-                if key == "meta":
+                key = key_node.value
+                if not isinstance(key_node, yaml.ScalarNode):  # a collection as a key
+                    problem = "found unhashable key"
+                    error = ConstructorError("while constructing a mapping", root.start_mark, problem, key_node.start_mark)
+                    diagnostics.append(yaml_error(doc.path, error))
+                elif key == "meta":
                     for mk, mv in (build(doc.path, value_node, _meta) or {}).items():
                         meta.setdefault(mk, mv)  # the first file's value wins
                 elif key not in SECTIONS:
